@@ -10,6 +10,7 @@ configuration gives byte-identical JSON output.  Output is plain text
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO
@@ -74,11 +75,13 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
     def pick(name, cast, default=None):
         flag = getattr(args, name, None)
-        if flag is not None:
-            return cast(flag)
-        if name in file_vals:
-            return cast(file_vals[name])
-        return default
+        if flag is None and name not in file_vals:
+            return default
+        value = flag if flag is not None else file_vals[name]
+        try:
+            return cast(value)
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
 
     cfg.mode = pick("mode", str, "free")
     if cfg.mode not in ("free", "field"):
@@ -95,7 +98,11 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     cfg.oracle_n = pick("oracle_n", int, 8192)
     cfg.r_max = pick("rmax", float)
     cfg.count = pick("count", int)
+    if cfg.count is not None and cfg.count < 1:
+        raise ConfigError(f"count must be at least 1, got {cfg.count}")
     cfg.tol = pick("tol", float, 1e-4)
+    if not (math.isfinite(cfg.tol) and cfg.tol >= 0):
+        raise ConfigError(f"tol must be finite and non-negative, got {cfg.tol}")
     cfg.fmt = pick("format", str, "json")
     if cfg.fmt not in ("json", "csv", "pretty"):
         raise ConfigError(f"format must be json, csv or pretty, got {cfg.fmt!r}")
@@ -123,7 +130,7 @@ def _select_gauge(cfg: RunConfig, j: int):
         index = int(cfg.gauge_policy)
     except ValueError as exc:
         raise ConfigError("gauge must be 'auto' or a candidate index") from exc
-    candidates = gauge_search(cfg.params, j, cfg.mode)
+    candidates = gauge_search(cfg.params, j, cfg.mode, convention=cfg.convention)
     if not 0 <= index < len(candidates):
         raise ConfigError(f"gauge index {index} out of range 0..{len(candidates) - 1}")
     return candidates[index].gauge
@@ -137,15 +144,15 @@ def _select_gauge(cfg: RunConfig, j: int):
 def cmd_derive(cfg: RunConfig, out: TextIO) -> int:
     j = cfg.level()
     cfg.params.require_qes()
-    candidates = gauge_search(cfg.params, j, cfg.mode, include_failures=True)
+    candidates = gauge_search(cfg.params, j, cfg.mode, include_failures=True,
+                              convention=cfg.convention)
     rows = []
     for idx, cand in enumerate(candidates):
         row = {"index": idx, "gauge": gauge_json(cand.gauge)}
         if cand.viable:
             rec = cand.recurrence
-            op = _reduced_operator(cfg, j, cand.gauge)
             row.update({
-                "reduced_operator": op.canonical_text(),
+                "reduced_operator": rec.operator.canonical_text(),
                 "recurrence": {
                     "alpha_k": poly_text(rec.alpha, var="k"),
                     "beta_k": poly_text(rec.beta, var="k"),
@@ -172,14 +179,8 @@ def cmd_derive(cfg: RunConfig, out: TextIO) -> int:
     }
     if cfg.mode == "free":
         cp = crosspath_comparison(cfg.params, j)
-        report["module_hamiltonian"] = {
-            "charpoly": poly_json(cp["charpoly_module"]),
-            "published_offset": frac_str(cp["offset_published"]),
-            "published_offset_matches": cp["published_offset_matches"],
-            "implied_offset": frac_str(cp["offset_implied"]),
-            "implied_offset_matches": cp["implied_offset_matches"],
-            "q_sign_flipped": cp["q_flipped_in_module_hamiltonian"],
-        }
+        report["module_hamiltonian"] = {"charpoly": poly_json(cp["charpoly_module"]),
+                                        **_module_hamiltonian(cp)}
     if cfg.fmt == "pretty":
         out.write(f"gauge candidates, mode={cfg.mode}, j={j} (m={j + 2})\n")
         for row in rows:
@@ -200,12 +201,16 @@ def cmd_derive(cfg: RunConfig, out: TextIO) -> int:
     return 0
 
 
-def _reduced_operator(cfg: RunConfig, j: int, gauge):
-    from .model import radial_operator
-    from .opcalc import change_variable_sqrt, gauge_conjugate
-    radial = radial_operator(cfg.params, j + 2, cfg.mode, cfg.convention)
-    conj, _ = gauge_conjugate(radial, gauge, cfg.params.hbar)
-    return change_variable_sqrt(conj, 2 * cfg.params.c * cfg.params.hbar)
+def _module_hamiltonian(cp: dict) -> dict:
+    """How the published sl2 combination relates to the derived free-mode block,
+    from a :func:`crosspath_comparison` result."""
+    return {
+        "published_offset": frac_str(cp["offset_published"]),
+        "published_offset_matches": cp["published_offset_matches"],
+        "implied_offset": frac_str(cp["offset_implied"]),
+        "implied_offset_matches": cp["implied_offset_matches"],
+        "q_sign_flipped": cp["q_flipped_in_module_hamiltonian"],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +329,20 @@ def cmd_spectrum(cfg: RunConfig, out: TextIO, with_oracle: bool = False) -> int:
     return 0
 
 
-def _run_match(cfg: RunConfig, spec: QesSpectrum, j: int) -> dict:
-    count = cfg.count or (j + 5)
+def _oracle_grid(cfg: RunConfig, m: int, mode: str, default_count: int):
+    """(count, grid) of a numerical solve: --count, else the default; --rmax, else
+    the suggested domain (the box defaults to (0, pi) and takes at least 64 intervals)."""
+    count = default_count if cfg.count is None else cfg.count
+    if mode == "box":
+        r_max = math.pi if cfg.r_max is None else cfg.r_max
+        return count, oracle_mod.Grid(r_max, max(64, cfg.oracle_n))
     if cfg.r_max is not None:
-        grid = oracle_mod.Grid(cfg.r_max, cfg.oracle_n)
-    else:
-        grid = oracle_mod.suggest_grid(cfg.params, j + 2, cfg.mode, count, n=cfg.oracle_n)
+        return count, oracle_mod.Grid(cfg.r_max, cfg.oracle_n)
+    return count, oracle_mod.suggest_grid(cfg.params, m, mode, count, n=cfg.oracle_n)
+
+
+def _run_match(cfg: RunConfig, spec: QesSpectrum, j: int) -> dict:
+    count, grid = _oracle_grid(cfg, j + 2, cfg.mode, j + 5)
     osp = oracle_mod.refine(cfg.params, j + 2, cfg.mode, count, grid, cfg.convention)
     rep = oracle_mod.match_report(spec, osp, cfg.tol)
     direct = ledger_shift_direct(cfg.params, j + 2, cfg.mode,
@@ -364,20 +377,13 @@ def _run_match(cfg: RunConfig, spec: QesSpectrum, j: int) -> dict:
 
 
 def cmd_oracle(cfg: RunConfig, out: TextIO, box: bool = False) -> int:
-    count = cfg.count or 6
     if box:
-        r_max = cfg.r_max if cfg.r_max is not None else 3.141592653589793
-        grid = oracle_mod.Grid(r_max, max(64, cfg.oracle_n))
-        spec = oracle_mod.refine(None, 0, "box", count, grid)
-        mode, m = "box", 0
+        mode, m, params = "box", 0, None
     else:
+        mode, params = cfg.mode, cfg.params
         m = cfg.m if cfg.m is not None else cfg.level() + 2
-        if cfg.r_max is not None:
-            grid = oracle_mod.Grid(cfg.r_max, cfg.oracle_n)
-        else:
-            grid = oracle_mod.suggest_grid(cfg.params, m, cfg.mode, count, n=cfg.oracle_n)
-        spec = oracle_mod.refine(cfg.params, m, cfg.mode, count, grid, cfg.convention)
-        mode = cfg.mode
+    count, grid = _oracle_grid(cfg, m, mode, 6)
+    spec = oracle_mod.refine(params, m, mode, count, grid, cfg.convention)
     if cfg.fmt == "csv":
         out.write("n,eigenvalue,error\n")
         for rec in spec.records:
@@ -480,14 +486,7 @@ def cmd_compare(cfg: RunConfig, out: TextIO) -> int:
         "match_report": _run_match(cfg, spec, j),
     }
     if cfg.mode == "free":
-        cp = crosspath_comparison(cfg.params, j)
-        report["module_hamiltonian"] = {
-            "published_offset": frac_str(cp["offset_published"]),
-            "published_offset_matches": cp["published_offset_matches"],
-            "implied_offset": frac_str(cp["offset_implied"]),
-            "implied_offset_matches": cp["implied_offset_matches"],
-            "q_sign_flipped": cp["q_flipped_in_module_hamiltonian"],
-        }
+        report["module_hamiltonian"] = _module_hamiltonian(crosspath_comparison(cfg.params, j))
     if cfg.fmt == "pretty":
         out.write(f"reconciliation report, mode={cfg.mode}, j={j}\n")
         for diff in report["polys"]["table_comparison"]:

@@ -55,12 +55,18 @@ class DomainError(ValueError):
 
 
 def parse_rational(text) -> Fraction:
-    """Exact Fraction from a decimal or p/q string ('0.25', '3/4', '2')."""
+    """Exact Fraction from a decimal or p/q string ('0.25', '3/4', '2').
+
+    Malformed text and a zero denominator raise :class:`ConfigError`.
+    """
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
         return Q(text)
-    return Q(str(text).strip())
+    try:
+        return Q(str(text).strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"not a rational number: {text!r}") from exc
 
 
 @dataclass(frozen=True)

@@ -164,6 +164,9 @@ class QPoly:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, scalar) -> "QPoly":
+        return QPoly([a / scalar for a in self.c])
+
     def __pow__(self, n: int) -> "QPoly":
         out = QPoly([1])
         base = self
@@ -244,12 +247,6 @@ class QPoly:
         return "QPoly(" + " + ".join(parts) + ")"
 
 
-def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
-    while b:
-        a, b = b, a % b
-    return a.monic() if a else a
-
-
 # ---------------------------------------------------------------------------
 # Sparse Laurent polynomials over Q
 # ---------------------------------------------------------------------------
@@ -277,22 +274,9 @@ class LaurentPoly:
     def from_poly(cls, p: QPoly) -> "LaurentPoly":
         return cls({i: a for i, a in enumerate(p.c)})
 
-    def to_poly(self) -> QPoly:
-        if self.d and min(self.d) < 0:
-            raise RepresentationError("Laurent polynomial has negative exponents")
-        n = max(self.d) + 1 if self.d else 0
-        c = [Q(0)] * n
-        for e, v in self.d.items():
-            c[e] = v
-        return QPoly(c)
-
     @property
     def min_exp(self) -> int:
         return min(self.d) if self.d else 0
-
-    @property
-    def max_exp(self) -> int:
-        return max(self.d) if self.d else 0
 
     def coeff(self, e: int) -> Fraction:
         return self.d.get(e, Q(0))
@@ -353,9 +337,6 @@ class LaurentPoly:
         for e, v in self.d.items():
             total = total + v * r**e
         return total
-
-    def exponents_mod2(self) -> set[int]:
-        return {e % 2 for e in self.d}
 
     def __repr__(self) -> str:
         if not self.d:
@@ -624,9 +605,6 @@ class SpectralLedger:
             return x + self.shift if self.shift else x
         return self.scale * x + self.shift
 
-    def from_physical(self, x):
-        return (x - self.shift) / self.scale
-
     def compose(self, inner: "SpectralLedger") -> "SpectralLedger":
         return SpectralLedger(
             self.scale * inner.scale,
@@ -792,9 +770,6 @@ class SeriesBand:
     beta: QPoly
     gamma: QPoly
     truncation_index: int | None
-
-    def rows(self, j: int) -> list[tuple[Fraction, Fraction, Fraction]]:
-        return [(self.alpha(Q(k)), self.beta(Q(k)), self.gamma(Q(k))) for k in range(j + 1)]
 
 
 _TRUNCATION_SCAN = 64

@@ -20,13 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from functools import partial
+from typing import Optional
 
 import mpmath
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 from .model import DomainError, PhysicalParams, radial_operator
 from .opcalc import Q
@@ -78,15 +77,19 @@ def _operator_floats(params: Optional[PhysicalParams], m: int, mode: str,
     return kin, mult
 
 
+def _power_sum(coeffs: dict, r):
+    """Sum of c * r^e over ``coeffs`` {e: c}, at a float node, an array of nodes or an mpf."""
+    u = 0.0 * r
+    for e, c in coeffs.items():
+        u = u + (c * r**e if e else c)
+    return u
+
+
 def potential_on_grid(params: Optional[PhysicalParams], m: int, mode: str,
                       grid: Grid, convention: str = "consistent") -> np.ndarray:
     """The full multiplicative term c^2 [V + coupling] at the interior nodes."""
     _, mult = _operator_floats(params, m, mode, convention)
-    r = grid.nodes()
-    u = np.zeros_like(r)
-    for e, v in mult.items():
-        u += v * r**float(e) if e else v
-    return u
+    return _power_sum(mult, grid.nodes())
 
 
 def discretize(params: Optional[PhysicalParams], m: int, mode: str, grid: Grid,
@@ -95,8 +98,8 @@ def discretize(params: Optional[PhysicalParams], m: int, mode: str, grid: Grid,
 
     diagonal[i] = 2 c^2 hbar^2 / h^2 + U(r_i), off-diagonal = -c^2 hbar^2 / h^2.
     """
-    kin, _ = _operator_floats(params, m, mode, convention)
-    u = potential_on_grid(params, m, mode, grid, convention)
+    kin, mult = _operator_floats(params, m, mode, convention)
+    u = _power_sum(mult, grid.nodes())
     if not np.all(np.isfinite(u)):
         raise DomainError("potential overflows at the grid nodes; reduce r_max")
     h2 = grid.h * grid.h
@@ -223,20 +226,10 @@ def refine(params: Optional[PhysicalParams], m: int, mode: str, count: int,
 # ---------------------------------------------------------------------------
 
 
-def _weight_function(params, m, mode, convention) -> Callable[[float], float]:
-    kin, mult = _operator_floats(params, m, mode, convention)
-
-    def w(r: float, x: float) -> float:
-        u = 0.0
-        for e, v in mult.items():
-            u += v * r**e if e else v
-        return (u - x) / kin
-
-    return w
-
-
 def _integrate(w, x, r0, r1, y0, segments=8):
     """Integrate f'' = w(r, x) f over [r0, r1] with per-segment renormalization."""
+    from scipy.integrate import solve_ivp
+
     y = np.array(y0, dtype=float)
     rs = np.linspace(r0, r1, segments + 1)
     for a, b in zip(rs[:-1], rs[1:]):
@@ -259,7 +252,13 @@ def shoot(params: Optional[PhysicalParams], m: int, mode: str, target: float,
     the boundary is classically allowed); raises if the bracket shows no sign
     change, which is itself informative for UNMATCHED verdicts.
     """
-    w = _weight_function(params, m, mode, convention)
+    from scipy.optimize import brentq
+
+    kin, mult = _operator_floats(params, m, mode, convention)
+
+    def w(r: float, x: float) -> float:
+        return (_power_sum(mult, r) - x) / kin
+
     r0 = 1e-4 * r_max
     if mode == "box":
         y_origin = [r0, 1.0]
@@ -337,9 +336,9 @@ def residual(wf: RadialWavefunction, params: PhysicalParams, m: int, mode: str,
     """
     op = radial_operator(params, m, mode, convention)
     kin = -op.coeff(2).constant_term
-    mult = op.coeff(0)
 
     with mpmath.workdps(digits + 10):
+        mult = {e: _to_mpf(v) for e, v in op.coeff(0).d.items()}
         h = _to_mpf(params.hbar)
         s = _to_mpf(wf.gauge.power)
         bg = _to_mpf(wf.gauge.gaussian)
@@ -348,12 +347,6 @@ def residual(wf: RadialWavefunction, params: PhysicalParams, m: int, mode: str,
                 for e, c in wf.polynomial_in_r().items()}
         dpoly = {e - 1: e * c for e, c in poly.items() if e}
         d2poly = {e - 1: e * c for e, c in dpoly.items() if e}
-
-        def poly_eval(d, r):
-            total = mpmath.mpf(0)
-            for e, c in d.items():
-                total += c * r**e
-            return total
 
         def wprime(r):
             return s / r - bg * r / h - aq * r**3 / h
@@ -365,23 +358,17 @@ def residual(wf: RadialWavefunction, params: PhysicalParams, m: int, mode: str,
             return r**s * mpmath.exp(-bg * r**2 / (2 * h) - aq * r**4 / (4 * h))
 
         def f(r):
-            return prefactor(r) * poly_eval(poly, r)
+            return prefactor(r) * _power_sum(poly, r)
 
         def d2f(r):
-            qv = poly_eval(poly, r)
-            dq = poly_eval(dpoly, r)
-            d2q = poly_eval(d2poly, r)
+            qv = _power_sum(poly, r)
+            dq = _power_sum(dpoly, r)
+            d2q = _power_sum(d2poly, r)
             wp = wprime(r)
             return prefactor(r) * (d2q + 2 * wp * dq + (wsecond(r) + wp * wp) * qv)
 
-        def potential(r):
-            total = mpmath.mpf(0)
-            for e, v in mult.d.items():
-                total += _to_mpf(v) * r**e
-            return total
-
         xv = x if isinstance(x, mpmath.mpf) else _to_mpf(Q(x)) if isinstance(x, (int, Fraction)) else mpmath.mpf(x)
-        return ode_residual(f, d2f, potential, _to_mpf(kin), xv, window, samples)
+        return ode_residual(f, d2f, partial(_power_sum, mult), _to_mpf(kin), xv, window, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +442,7 @@ def suggest_grid(params: Optional[PhysicalParams], m: int, mode: str, count: int
     if mode == "box":
         return Grid(math.pi, n)
     _, mult = _operator_floats(params, m, mode, convention)
-
-    def u(r: float) -> float:
-        return sum(v * r**e if e else v for e, v in mult.items())
-
+    u = partial(_power_sum, mult)
     r_max = 4.0
     for _ in range(3):
         coarse = Grid(r_max, 512)

@@ -36,14 +36,14 @@ from .model import (DomainError, PhysicalParams, coupling_constant,
                     energy_from_epsilon2, eta_squared, radial_operator,
                     SpectralValue)
 from .opcalc import (DiffOperator, GaugeAnsatz, GaugeError, LaurentPoly,
-                     NotQesError, Q, QPoly, SeriesBand, SpectralLedger,
+                     NotQesError, Q, QPoly, SpectralLedger,
                      change_variable_sqrt, compose, gauge_conjugate,
                      monomial_matrix, series_recurrence)
 
 __all__ = [
     "Sl2Realization", "sl2_generators", "algebraic_hamiltonian",
     "ThreeTermRecurrence", "published_recurrence", "derived_recurrence",
-    "PolynomialFamily", "polynomial_family", "FamilyConstructionError",
+    "PolynomialFamily", "polynomial_family", "run_recurrence", "FamilyConstructionError",
     "RootEnclosure", "RootPropertyError", "critical_roots", "isolate_real_roots",
     "QesSpectrum", "spectrum", "RadialWavefunction", "wavefunction",
     "GaugeCandidate", "gauge_search", "canonical_gauge",
@@ -134,7 +134,8 @@ class ThreeTermRecurrence:
     ``alpha``, ``beta``, ``gamma`` are polynomials in the row index k.
     ``variable`` records what the eigenvalue symbol x means: "physical" is
     eps^2 itself, "reduced" is the swept operator's eigenvalue, mapped to
-    eps^2 by ``ledger``.
+    eps^2 by ``ledger``.  ``operator`` is the reduced rho-operator the band
+    was read from (derived recurrences only).
     """
 
     j: int
@@ -146,6 +147,7 @@ class ThreeTermRecurrence:
     mode: str
     variable: str
     ledger: SpectralLedger
+    operator: Optional[DiffOperator] = field(default=None, compare=False)
 
     def coefficients_at(self, k: int) -> tuple[Fraction, Fraction, Fraction]:
         kk = Q(k)
@@ -161,12 +163,6 @@ class ThreeTermRecurrence:
         if self.ledger.scale != 1:
             raise QesError("non-unit ledger scale: no additive physical form")
         return self.beta + self.ledger.shift
-
-    @classmethod
-    def from_band(cls, band: SeriesBand, j: int, source: str, mode: str,
-                  variable: str, ledger: SpectralLedger) -> "ThreeTermRecurrence":
-        return cls(j, band.alpha, band.beta, band.gamma, band.truncation_index,
-                   source, mode, variable, ledger)
 
 
 def _field_ledger(params: PhysicalParams, m: int) -> SpectralLedger:
@@ -231,9 +227,10 @@ def derived_recurrence(params: PhysicalParams, j: int, gauge: GaugeAnsatz | None
                        ) -> tuple[ThreeTermRecurrence, SpectralLedger]:
     """Mechanical pipeline: radial operator -> gauge -> rho variable -> recurrence.
 
-    Returns the recurrence in the reduced (constant-free) eigenvalue together
-    with the ledger mapping it back to eps^2.  Gauge failures and band
-    violations propagate as GaugeError / NotQesError.
+    The only place the pipeline runs.  Returns the recurrence in the reduced
+    (constant-free) eigenvalue, carrying the reduced operator, together with
+    the ledger mapping it back to eps^2.  Gauge failures and band violations
+    propagate as GaugeError / NotQesError.
     """
     params.require_qes()
     if j < 0 or int(j) != j:
@@ -246,7 +243,8 @@ def derived_recurrence(params: PhysicalParams, j: int, gauge: GaugeAnsatz | None
     conjugated, ledger = gauge_conjugate(radial, gauge, params.hbar)
     reduced = change_variable_sqrt(conjugated, 2 * params.c * params.hbar)
     band = series_recurrence(reduced)
-    rec = ThreeTermRecurrence.from_band(band, j, "derived", mode, "reduced", ledger)
+    rec = ThreeTermRecurrence(j, band.alpha, band.beta, band.gamma, band.truncation_index,
+                              "derived", mode, "reduced", ledger, reduced)
     return rec, ledger
 
 
@@ -305,21 +303,7 @@ def polynomial_family(rec: ThreeTermRecurrence,
     """
     if normalization not in ("monic", "as-generated"):
         raise QesError(f"unknown normalization {normalization!r}")
-    x = QPoly.x()
-    polys = [QPoly([1])]
-    prev2 = QPoly()
-    for k in range(rec.j + 1):
-        ak, bk, gk = rec.coefficients_at(k)
-        raw = (x - bk) * polys[-1] - gk * prev2
-        if ak == 0:
-            if k < rec.j:
-                raise FamilyConstructionError(
-                    f"recurrence row {k} is degenerate: cannot generate P_{k + 1}", row=k)
-            nxt = raw  # truncation-constraint row
-        else:
-            nxt = (1 / ak) * raw
-        prev2 = polys[-1]
-        polys.append(nxt)
+    polys = run_recurrence(rec, QPoly.x(), rec.j + 1)
     for k, p in enumerate(polys):
         if p.degree != k:
             raise FamilyConstructionError(f"degree of P_{k} is {p.degree}", row=k)
@@ -330,21 +314,25 @@ def polynomial_family(rec: ThreeTermRecurrence,
                             rec.degenerate_rows())
 
 
-def recurrence_coefficients_at_root(rec: ThreeTermRecurrence, x) -> list:
-    """Series coefficients c_0..c_j at a numeric (or exact) eigenvalue x."""
-    coeffs = [x * 0 + 1]
-    prev2 = 0
-    for k in range(rec.j):
-        ak, bk, gk = rec.coefficients_at(k)
-        if ak == 0:
-            raise FamilyConstructionError(f"row {k} degenerate", row=k)
-        if isinstance(x, Fraction):
-            nxt = ((x - bk) * coeffs[-1] - gk * prev2) / ak
-        else:
-            nxt = ((x - _to_mpf(bk)) * coeffs[-1] - _to_mpf(gk) * prev2) / _to_mpf(ak)
-        prev2 = coeffs[-1]
-        coeffs.append(nxt)
-    return coeffs
+def run_recurrence(rec: ThreeTermRecurrence, x, rows: int) -> list:
+    """f_0 = 1, f_1, ..., f_rows of the recurrence, in the ring of ``x``.
+
+    ``x`` is QPoly.x() for the energy polynomials, or a Fraction or mpf root
+    for the series coefficients there (exact band coefficients enter mpf
+    runs as mpf).  A vanishing alpha_k stops the run, except in row j, whose
+    unscaled right-hand side is then the truncation constraint.
+    """
+    scalar = (lambda v: v) if isinstance(x, (QPoly, Fraction, int)) else _to_mpf
+    fs, prev = [x * 0 + 1], x * 0
+    for k in range(rows):
+        ak, bk, gk = (scalar(v) for v in rec.coefficients_at(k))
+        raw = (x - bk) * fs[-1] - gk * prev
+        if ak == 0 and k < rec.j:
+            raise FamilyConstructionError(
+                f"recurrence row {k} is degenerate: cannot generate P_{k + 1}", row=k)
+        prev = fs[-1]
+        fs.append(raw / ak if ak else raw)
+    return fs
 
 
 def _to_mpf(qv: Fraction):
@@ -586,7 +574,7 @@ def spectrum(params: PhysicalParams, j: int, mode: str, source: str = "derived",
         for r in roots:
             # coefficient vectors only need rows 0..j-1, so the published
             # free-mode degeneracy at row j never blocks them
-            cs = recurrence_coefficients_at_root(rec, r.mpf(digits))
+            cs = run_recurrence(rec, r.mpf(digits), j)
             coeff_rows.append(tuple(mpmath.nstr(c, digits, strip_zeros=False) for c in cs))
     return QesSpectrum(j, m, mode, source, params, fam.critical, fam.variable,
                        tuple(roots), physical, energies, tuple(coeff_rows),
@@ -653,7 +641,7 @@ def wavefunction(params: PhysicalParams, j: int, root, mode: str,
     else:
         xval = root if isinstance(root, Fraction) else Q(root)
     with mpmath.workdps(digits + 10):
-        coeffs = recurrence_coefficients_at_root(rec, xval)
+        coeffs = run_recurrence(rec, xval, j)
     return RadialWavefunction(gauge, 2 * params.c * params.hbar, tuple(coeffs),
                               m, params.hbar, gauge.normalizability)
 
@@ -677,7 +665,8 @@ class GaugeCandidate:
 
 
 def gauge_search(params: PhysicalParams, j: int, mode: str,
-                 include_failures: bool = False) -> list[GaugeCandidate]:
+                 include_failures: bool = False,
+                 convention: str = "consistent") -> list[GaugeCandidate]:
     """Enumerate the finite gauge candidate set and keep the banded ones.
 
     Candidates: s in {m+1/2, 1/2-m} (both indicial branches), gaussian in
@@ -686,13 +675,14 @@ def gauge_search(params: PhysicalParams, j: int, mode: str,
     and with its normalizability class; the published forms drop the radial
     constant, so the annotation also records whether the pipeline's ledger
     shift matches the published constant (free: yes; field: the published
-    form conflates the two eigenvalue symbols).
+    form conflates the two eigenvalue symbols).  ``convention`` is the
+    field-constant sign of the radial operator (model.MAGNETIC_CONVENTIONS);
+    only the ledger depends on it.
     """
     params.require_qes()
     m = j + 2
     if mode == "field" and params.B is None:
         params = params.with_qes_field()
-    radial = radial_operator(params, m, mode)
     published_op = tables.published_reduced_operator(params, m, mode)
     published_const = published_op.coeff(0).constant_term
     published_swept = published_op - DiffOperator.multiplication(published_const, "rho")
@@ -703,25 +693,21 @@ def gauge_search(params: PhysicalParams, j: int, mode: str,
             for a in (params.q, -params.q):
                 g = GaugeAnsatz(s, b, a)
                 try:
-                    conj, ledger = gauge_conjugate(radial, g, params.hbar)
-                    reduced = change_variable_sqrt(conj, 2 * params.c * params.hbar)
-                    band = series_recurrence(reduced)
+                    rec, ledger = derived_recurrence(params, j, g, mode, convention)
                 except (GaugeError, NotQesError) as exc:
                     if include_failures:
                         results.append(GaugeCandidate(g, None, None,
                                                       {"normalizability": g.normalizability},
                                                       error=str(exc)))
                     continue
-                rec = ThreeTermRecurrence.from_band(band, j, "derived", mode,
-                                                    "reduced", ledger)
                 diagnostics = {
                     "normalizability": g.normalizability,
-                    "reproduces_published_ode": reduced == published_swept,
+                    "reproduces_published_ode": rec.operator == published_swept,
                     "published_constant": published_const,
                     "ledger_shift": ledger.shift,
                     "constant_consistent": published_const == ledger.shift,
-                    "truncation_index": band.truncation_index,
-                    "truncates": band.truncation_index is not None,
+                    "truncation_index": rec.truncation_index,
+                    "truncates": rec.truncation_index is not None,
                 }
                 results.append(GaugeCandidate(g, rec, ledger, diagnostics))
     viable = [c for c in results if c.viable]

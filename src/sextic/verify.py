@@ -16,12 +16,10 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import oracle, tables
-from .model import PhysicalParams, radial_operator
-from .opcalc import (Q, QPoly, change_variable_sqrt, commutator,
-                     gauge_conjugate, monomial_matrix)
-from .qes import (FamilyConstructionError, algebraic_hamiltonian,
-                  canonical_gauge, critical_roots, crosspath_comparison,
-                  derived_recurrence, ledger_shift_direct,
+from .model import PhysicalParams
+from .opcalc import Q, QPoly, commutator, monomial_matrix
+from .qes import (algebraic_hamiltonian, canonical_gauge, critical_roots,
+                  crosspath_comparison, derived_recurrence, ledger_shift_direct,
                   polynomial_family, sl2_generators, spectrum, wavefunction,
                   _sturm_chain, _variations_at)
 
@@ -136,20 +134,6 @@ def check_field_table(fault: Optional[str] = None) -> CheckResult:
     return CheckResult("field-table", True, detail)
 
 
-def _symbolic_coefficients(rec) -> list[QPoly]:
-    x = QPoly.x()
-    fs = [QPoly([1])]
-    prev2 = QPoly()
-    for k in range(rec.j):
-        ak, bk, gk = rec.coefficients_at(k)
-        if ak == 0:
-            raise FamilyConstructionError(f"row {k} degenerate", row=k)
-        nxt = (1 / ak) * ((x - bk) * fs[-1] - gk * prev2)
-        prev2 = fs[-1]
-        fs.append(nxt)
-    return fs
-
-
 def check_quotient_residual(fault: Optional[str] = None) -> CheckResult:
     """A F - x F vanishes identically in Q[x]/(P_{j+1}), both modes, j <= 6."""
     params = PhysicalParams(M=1, omega=1, q=1)
@@ -159,15 +143,14 @@ def check_quotient_residual(fault: Optional[str] = None) -> CheckResult:
         for mode in ("free", "field"):
             pp = p.with_qes_field() if mode == "field" else p
             for j in range(7):
-                gauge = canonical_gauge(pp, j + 2, mode)
-                conj, ledger = gauge_conjugate(radial_operator(pp, j + 2, mode), gauge, pp.hbar)
-                reduced = change_variable_sqrt(conj, 2 * pp.c * pp.hbar)
-                rec, _ = derived_recurrence(pp, j, gauge, mode)
-                fs = _symbolic_coefficients(rec)
-                crit = polynomial_family(rec).critical
+                rec, _ = derived_recurrence(pp, j, None, mode)
+                # F = sum_k P_k(x) rho^k with the unscaled P_0..P_j
+                fam = polynomial_family(rec, "as-generated")
+                fs = fam.polys[:-1]
+                crit = fam.critical.monic()
                 if fault == "quotient-sign":
                     crit = crit + 1
-                image = reduced.apply_coeffs(fs)
+                image = rec.operator.apply_coeffs(fs)
                 for i, g in enumerate(image):
                     lhs = g - (x * fs[i] if i < len(fs) else QPoly())
                     if lhs % crit:

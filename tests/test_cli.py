@@ -204,3 +204,36 @@ def test_published_source_spectrum():
     code, out = run(["spectrum", "--mode", "field", "--j", "1", "--source", "published"])
     assert code == 0
     assert json.loads(out)["source"] == "published"
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--mode", "free", "--q", "0", "--m", "2", "--count", "0", "--oracle-n", "512"],
+    ["spectrum", "--mode", "field", "--j", "0", "--oracle", "--oracle-n", "512", "--count", "0"],
+    ["spectrum", "--mode", "field", "--j", "0", "--oracle", "--oracle-n", "512", "--tol", "nan"],
+    ["spectrum", "--mode", "field", "--j", "0", "--oracle", "--oracle-n", "512", "--tol", "inf"],
+    ["spectrum", "--mode", "field", "--j", "0", "--oracle", "--oracle-n", "512", "--tol", "-1"],
+    ["spectrum", "--mode", "free", "--j", "0", "--M", "1/0"],
+    ["spectrum", "--mode", "free", "--j", "0", "--M", "abc"],
+], ids=["count-0", "oracle-count-0", "tol-nan", "tol-inf", "tol-negative",
+        "rational-zero-denominator", "rational-malformed"])
+def test_bad_input_exits_2(argv):
+    code, out = run(argv)
+    assert code == 2
+    assert out == ""
+
+
+def test_config_file_bad_integer_exits_2(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("mode=field\nj=one\n")
+    code, _ = run(["spectrum", "--config", str(cfg)])
+    assert code == 2
+
+
+def test_derive_ledger_follows_convention():
+    argv = ["--mode", "field", "--j", "1", "--convention", "printed"]
+    code, out = run(["derive", *argv])
+    assert code == 0
+    shifts = {c["ledger"]["shift"] for c in json.loads(out)["candidates"] if "ledger" in c}
+    code, out = run(["spectrum", *argv])
+    assert code == 0
+    assert shifts == {json.loads(out)["ledger"]["shift"]}
