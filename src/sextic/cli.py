@@ -2,7 +2,8 @@
 
 Subcommands: derive, polys, spectrum, oracle, wavefunction, verify, compare.
 Exit codes: 0 success (findings such as table mismatches are still 0),
-1 internal or invariant failure, 2 usage/configuration error.  Identical
+1 internal or invariant failure, 2 usage/configuration error or parameters
+without a real simple algebraic block (RootPropertyError).  Identical
 configuration gives byte-identical JSON output.  Output is plain text
 (NO_COLOR trivially honored).
 """
@@ -56,16 +57,20 @@ class RunConfig:
 
 
 def _read_config_file(path: str) -> dict[str, str]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected key=value")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    for line_no, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{line_no}: expected key=value")
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -90,13 +95,16 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     cfg.m = pick("m", int)
     if cfg.j is not None and cfg.m is not None and cfg.m != cfg.j + 2:
         raise ConfigError(f"m = j + 2 required (got m={cfg.m}, j={cfg.j})")
-    if cfg.j is not None and cfg.j < 0:
-        raise ConfigError("j must be non-negative")
+    for name in ("j", "m"):
+        if getattr(cfg, name) is not None and getattr(cfg, name) < 0:
+            raise ConfigError(f"{name} must be non-negative")
     cfg.digits = pick("digits", int, 50)
     if cfg.digits < 15:
         raise ConfigError("digits must be at least 15")
     cfg.oracle_n = pick("oracle_n", int, 8192)
     cfg.r_max = pick("rmax", float)
+    if cfg.r_max is not None and not (math.isfinite(cfg.r_max) and cfg.r_max > 0):
+        raise ConfigError(f"rmax must be finite and positive, got {cfg.r_max}")
     cfg.count = pick("count", int)
     if cfg.count is not None and cfg.count < 1:
         raise ConfigError(f"count must be at least 1, got {cfg.count}")
@@ -590,10 +598,11 @@ def main(argv: Optional[Sequence[str]] = None, stream: Optional[TextIO] = None) 
             return cmd_compare(cfg, out)
         parser.error(f"unknown command {args.command!r}")
         return 2
-    except (ConfigError, DomainError, FileNotFoundError) as exc:
+    except (ConfigError, DomainError, RootPropertyError) as exc:
+        # RootPropertyError: the parameters have no real simple block (q < 0)
         print(f"sextic: configuration error: {exc}", file=sys.stderr)
         return 2
-    except (GaugeError, NotQesError, RootPropertyError) as exc:
+    except (GaugeError, NotQesError) as exc:
         # property violations are findings: report and keep exit 0 contract
         # only for polys-style comparisons; anywhere else they are failures
         print(f"sextic: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -230,13 +230,6 @@ class QPoly:
         """Return p(x + delta)."""
         return self.compose_linear(1, delta)
 
-    def valuation(self) -> int:
-        """Multiplicity of the root at 0; zero when p(0) != 0."""
-        for i, a in enumerate(self.c):
-            if a:
-                return i
-        return 0
-
     def __repr__(self) -> str:
         if not self.c:
             return "QPoly(0)"

@@ -50,8 +50,8 @@ class Grid:
     def __post_init__(self):
         if self.n < 64:
             raise DomainError("grid needs at least 64 intervals")
-        if self.r_max <= 0:
-            raise DomainError("r_max must be positive")
+        if not math.isfinite(self.r_max) or self.r_max <= 0:
+            raise DomainError(f"r_max must be finite and positive, got {self.r_max}")
 
     @property
     def h(self) -> float:

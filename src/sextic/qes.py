@@ -18,18 +18,21 @@ Two recurrence sources are first class and never merged:
   all, so the comparison report can show where the published coefficients
   disagree with the published tables.
 
-Roots are isolated by exact Sturm bisection and tightened by interval Newton
-to a configurable number of digits (default 50); floating companion-matrix
-root finders are used only as cross-checks in the test suite.
+Roots are approximated in high precision (Jacobi-matrix eigenvalues, or
+``mpmath.polyroots``), rounded to dyadic cells narrower than 10^-(digits+10)
+(default 50 digits) and certified by exact integer sign evaluation of the
+critical polynomial; no approximate value decides a sign.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import mpmath
+from mpmath.libmp import NoConvergence
 
 from . import tables
 from .model import (DomainError, PhysicalParams, coupling_constant,
@@ -340,7 +343,7 @@ def _to_mpf(qv: Fraction):
 
 
 # ---------------------------------------------------------------------------
-# Exact real-root isolation (Sturm) and interval-Newton refinement
+# Exact real-root certification: approximate, round to a dyadic cell, verify
 # ---------------------------------------------------------------------------
 
 
@@ -382,144 +385,135 @@ def _sturm_chain(p: QPoly) -> list[QPoly]:
     return [c for c in chain if c]
 
 
+def _sign_changes(values: Sequence[Fraction]) -> int:
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 def _variations_at(chain: Sequence[QPoly], x: Fraction) -> int:
-    signs = []
-    for c in chain:
-        v = c(x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    return _sign_changes([c(x) for c in chain])
 
 
-def _cauchy_bound(p: QPoly) -> Fraction:
-    lead = abs(p.leading)
-    if not lead:
-        raise QesError("zero polynomial has no root bound")
-    return 1 + max((abs(a) for a in p.c[:-1]), default=Q(0)) / lead
+def _require_real_simple(p: QPoly) -> None:
+    """Raise RootPropertyError when the exact Sturm count of distinct real
+    roots (signs at +-infinity are leading signs) falls short of the degree."""
+    chain = _sturm_chain(p)
+    at_neg = [c.leading * (-1) ** c.degree for c in chain]
+    count = _sign_changes(at_neg) - _sign_changes([c.leading for c in chain])
+    if count < p.degree:
+        raise RootPropertyError(
+            f"only {count} distinct real roots for degree {p.degree}", p, count=count)
 
 
-def _interval_eval(p: QPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    alo, ahi = Q(0), Q(0)
-    for a in reversed(p.c):
-        prods = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(prods) + a, max(prods) + a
-    return alo, ahi
+def _sign_at(coeffs: Sequence[int], num: int, k: int) -> int:
+    """Sign of p(num / 2^k) from p's integer coefficients (constant first), by
+    Horner on the integer 2^(k deg) p(num / 2^k): no gcd work."""
+    acc, scale = coeffs[-1], 1
+    for a in reversed(coeffs[:-1]):
+        scale <<= k
+        acc = acc * num + a * scale
+    return (acc > 0) - (acc < 0)
 
 
-def _dyadic_floor(x: Fraction, prec: int) -> Fraction:
-    return Q((x.numerator << prec) // x.denominator, 1 << prec)
-
-
-def _dyadic_ceil(x: Fraction, prec: int) -> Fraction:
-    return Q(-((-x.numerator << prec) // x.denominator), 1 << prec)
-
-
-def _refine_enclosure(p: QPoly, dp: QPoly, a: Fraction, b: Fraction,
-                      target: Fraction) -> RootEnclosure:
-    # invariant on entry: exactly one simple root in (a, b], p(a) != 0
-    pb = p(b)
-    if not pb:
-        return RootEnclosure(b, b)
-    sa = 1 if p(a) > 0 else -1
-    while b - a > target:
-        m = (a + b) / 2
-        pm = p(m)
-        if not pm:
-            return RootEnclosure(m, m)
-        # interval Newton: contract around m when p' is sign-definite on [a, b];
-        # bounds are rounded outward to a dyadic grid so Fraction sizes stay
-        # proportional to the achieved precision instead of squaring per step
-        dlo, dhi = _interval_eval(dp, a, b)
-        if dlo > 0 or dhi < 0:
-            width = b - a
-            prec = max(16, width.denominator.bit_length() - width.numerator.bit_length()) + 48
-            n1, n2 = m - pm / dlo, m - pm / dhi
-            if n1 > n2:
-                n1, n2 = n2, n1
-            nlo = max(a, _dyadic_floor(n1, prec))
-            nhi = min(b, _dyadic_ceil(n2, prec))
-            if nlo <= nhi and (nhi - nlo) <= width * Q(3, 4):
-                if p(nlo) == 0:
-                    return RootEnclosure(nlo, nlo)
-                if p(nhi) == 0:
-                    return RootEnclosure(nhi, nhi)
-                a, b = nlo, nhi
-                sa = 1 if p(a) > 0 else -1
-                continue
-        if (1 if pm > 0 else -1) == sa:
-            a = m
+def _centres(p: QPoly, jacobi, dps: int, k: int) -> list[int]:
+    """Approximate roots of ``p`` at ``dps`` digits, rounded to ascending integer
+    numerators over 2^k: Jacobi-matrix eigenvalues when ``jacobi`` = (b, c) is
+    given, else real parts from ``mpmath.polyroots`` (iterated at twice the
+    precision, since its stopping test is absolute; empty if it diverges)."""
+    with mpmath.workdps(dps):
+        if jacobi is not None:
+            diag, offsq = jacobi
+            mat = mpmath.diag([_to_mpf(b) for b in diag])
+            for i, ci in enumerate(offsq, 1):
+                mat[i, i - 1] = mat[i - 1, i] = mpmath.sqrt(_to_mpf(ci))
+            approx = mpmath.eigsy(mat, eigvals_only=True)
         else:
-            b = m
-    return RootEnclosure(a, b)
+            try:
+                approx = [mpmath.re(z) for z in mpmath.polyroots(
+                    [_to_mpf(a) for a in reversed(p.c)], maxsteps=50 + 10 * p.degree,
+                    extraprec=mpmath.mp.prec)]
+            except NoConvergence:
+                return []
+        return sorted(int(mpmath.nint(mpmath.ldexp(x, k))) for x in approx)
 
 
-def isolate_real_roots(p: QPoly, digits: int = 50) -> list[RootEnclosure]:
-    """Disjoint enclosures of all real roots of ``p``, each of width < 10^-digits.
+def _certified(p: QPoly, coeffs: Sequence[int], centres: list[int],
+               k: int) -> Optional[list[RootEnclosure]]:
+    """Cells [c-1, c+1]/2^k across which p changes sign ([c, c]/2^k where p
+    vanishes), one per root and disjoint, or None when any check fails.  A
+    parity-symmetric p has its positive roots certified and mirrored; 0 is
+    then a root exactly when the degree is odd."""
+    d = p.degree
+    if len(centres) != d:
+        return None
+    parity = not any(p.c[d - 1::-2])
+    cells = []
+    for c in centres[d - d // 2:] if parity else centres:
+        if not _sign_at(coeffs, c, k):
+            cells.append(RootEnclosure(Q(c, 1 << k), Q(c, 1 << k)))
+        elif _sign_at(coeffs, c - 1, k) * _sign_at(coeffs, c + 1, k) < 0:
+            cells.append(RootEnclosure(Q(c - 1, 1 << k), Q(c + 1, 1 << k)))
+        else:
+            return None
+    if parity:
+        if cells and cells[0].lo <= 0:
+            return None
+        cells = ([RootEnclosure(-e.hi, -e.lo) for e in reversed(cells)]
+                 + [RootEnclosure(Q(0), Q(0))] * (d % 2) + cells)
+    if any(a.hi >= b.lo for a, b in zip(cells, cells[1:])):
+        return None
+    return cells
 
-    Certifies exactly one root per interval via Sturm counts; raises
-    :class:`RootPropertyError` when the number of simple real roots falls
-    short of the degree (complex or multiple roots: a reportable property
-    violation, not a crash).
+
+def isolate_real_roots(p: QPoly, digits: int = 50, jacobi=None) -> list[RootEnclosure]:
+    """Disjoint enclosures of all real roots of ``p``, each of width < 10^-(digits+10).
+
+    Approximate (Jacobi-matrix eigenvalues from ``jacobi`` = (b_k, c_k), else
+    ``mpmath.polyroots``), round to dyadic cells and certify each by exact
+    integer signs: deg p disjoint sign changes prove every root real, simple
+    and isolated.  A failed certification retries at doubled precision.  An
+    exact Sturm count, run first without ``jacobi`` (polyroots costs far more)
+    and otherwise after the first failure, raises :class:`RootPropertyError`
+    when the distinct real roots fall short of the degree (complex or
+    multiple roots: a reportable property violation).
     """
     if p.degree < 1:
         raise QesError("constant polynomial has no roots to isolate")
-    target = Q(1, 10**digits)
-    out: list[RootEnclosure] = []
+    den = math.lcm(*(a.denominator for a in p.c))
+    coeffs = [a.numerator * (den // a.denominator) for a in p.c]
+    # 10 guard digits past the cell, plus the bits of the Fujiwara root bound
+    # 2 max |a_{d-i}/a_d|^(1/i): approximation errors scale with the roots
+    lead = abs(coeffs[-1]).bit_length()
+    bits = max((abs(a).bit_length() - lead) // (p.degree - i) + 3 for i, a in enumerate(coeffs[:-1]))
+    dps0 = dps = digits + 20 + max(0, bits) * 3 // 10 + 1
+    if jacobi is None:
+        _require_real_simple(p)
+    for attempt in range(6):
+        # the cell narrows with the precision so that close roots separate
+        k = (10 ** (digits + 10 + (dps - dps0) // 2)).bit_length() + 1
+        cells = _certified(p, coeffs, _centres(p, jacobi, dps, k), k)
+        if cells is not None:
+            return cells
+        if attempt == 0 and jacobi is not None:
+            _require_real_simple(p)
+        dps *= 2
+    raise QesError(f"degree-{p.degree} roots not certified at {dps // 2} digits")
 
-    val = p.valuation()
-    if val > 1:
-        raise RootPropertyError(f"root at 0 has multiplicity {val}", p, count=-1)
-    if val == 1:
-        out.append(RootEnclosure(Q(0), Q(0)))
-        p = QPoly(p.c[1:])
-        if p.degree < 1:
-            return out
 
-    chain = _sturm_chain(p)
-    bound = _cauchy_bound(p)
-    v_lo = _variations_at(chain, -bound)
-    v_hi = _variations_at(chain, bound)
-    found = v_lo - v_hi + len(out)
-    degree_total = p.degree + len(out)
-    if found < degree_total:
-        raise RootPropertyError(
-            f"only {found} distinct real roots for degree {degree_total}", p, count=found)
-
-    dp = p.derivative()
-    stack = [(-bound, bound, v_lo, v_hi)]
-    while stack:
-        a, b, va, vb = stack.pop()
-        n = va - vb
-        if n == 0:
-            continue
-        if n == 1:
-            # restore p(a) != 0 (a boundary root belongs to the neighbor interval)
-            while not p(a):
-                a2 = a + (b - a) / 1024
-                if _variations_at(chain, a) - _variations_at(chain, a2):
-                    break
-                a = a2
-            out.append(_refine_enclosure(p, dp, a, b, target))
-            continue
-        mid = (a + b) / 2
-        vm = _variations_at(chain, mid)
-        stack.append((a, mid, va, vm))
-        stack.append((mid, b, vm, vb))
-    out.sort(key=lambda e: (e.lo, e.hi))
-    for left, right in zip(out, out[1:]):
-        if not (left.hi < right.lo or (left.exact and left.hi <= right.lo)):
-            raise QesError(f"enclosures overlap: {left} vs {right}")
-    return out
+def _jacobi(family: PolynomialFamily):
+    """(b_k, c_k) of P_{k+1} = (x - b_k) P_k - c_k P_{k-1}, read off the two top
+    coefficients of each P_k; None unless every c_k > 0 (symmetrizable)."""
+    polys = family.polys
+    s = [p.coeff(k - 1) / p.leading for k, p in enumerate(polys)]
+    t = [p.coeff(k - 2) / p.leading for k, p in enumerate(polys)]
+    b = [s[k] - s[k + 1] for k in range(family.j + 1)]
+    c = [t[k] - b[k] * s[k] - t[k + 1] for k in range(1, family.j + 1)]
+    return (b, c) if all(v > 0 for v in c) else None
 
 
 def critical_roots(family: PolynomialFamily, digits: int = 50) -> list[RootEnclosure]:
     """Certified enclosures of the j+1 roots of the critical polynomial."""
-    roots = isolate_real_roots(family.critical, digits)
-    if len(roots) != family.j + 1:
-        raise RootPropertyError(
-            f"expected {family.j + 1} roots, isolated {len(roots)}",
-            family.critical, count=len(roots))
-    return roots
+    return isolate_real_roots(family.critical, digits, _jacobi(family))
 
 
 # ---------------------------------------------------------------------------

@@ -251,3 +251,14 @@ def test_criterion_10_performance():
     assert dt_solve < 5.0
     _report(10, f"level-10 exact pipeline {dt_exact:.2f}s < 1s; 20000-point "
                 f"10-eigenvalue solve {dt_solve:.2f}s < 5s", dt_exact + dt_solve)
+
+
+def test_field_j40_root_budget():
+    # beside criterion 10: level 40, magnetic mode, 50-digit certified roots
+    t0 = time.time()
+    rec, _ = derived_recurrence(NAT, 40, None, "field")
+    roots = critical_roots(polynomial_family(rec), digits=50)
+    dt = time.time() - t0
+    assert len(roots) == 41
+    assert all(r.width < Q(1, 10**50) for r in roots)
+    assert dt < 1.0

@@ -2,6 +2,7 @@
 
 import io
 import json
+import warnings
 
 import pytest
 
@@ -237,3 +238,39 @@ def test_derive_ledger_follows_convention():
     code, out = run(["spectrum", *argv])
     assert code == 0
     assert shifts == {json.loads(out)["ledger"]["shift"]}
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_config_path_unreadable_exits_2(kind, tmp_path, capsys):
+    path = tmp_path
+    if kind == "not-utf8":
+        path = tmp_path / "binary.cfg"
+        path.write_bytes(b"mode=\xff\xfe\n")
+    code, out = run(["spectrum", "--config", str(path), "--j", "0"])
+    assert code == 2 and out == ""
+    assert "cannot read config file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_rmax_not_finite_exits_2(value, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run(["oracle", "--mode", "free", "--m", "3", "--count", "2",
+                         "--oracle-n", "512", "--rmax", value])
+    assert code == 2 and out == ""
+    assert "rmax" in capsys.readouterr().err
+    assert not caught
+
+
+def test_negative_m_exits_2(capsys):
+    code, out = run(["oracle", "--mode", "free", "--m", "-2", "--count", "2",
+                     "--oracle-n", "512"])
+    assert code == 2 and out == ""
+    assert "m must be non-negative" in capsys.readouterr().err
+
+
+def test_root_property_error_exits_2(capsys):
+    # q < 0: the critical polynomial has no real roots, a finding about the input
+    code, out = run(["spectrum", "--mode", "field", "--j", "3", "--q=-1"])
+    assert code == 2 and out == ""
+    assert "only 0 distinct real roots for degree 4" in capsys.readouterr().err

@@ -5,6 +5,8 @@ from fractions import Fraction as Q
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sextic.model import PhysicalParams, eta_squared
 from sextic.opcalc import QPoly, commutator, monomial_matrix
@@ -233,7 +235,7 @@ def test_field_j3_roots_closed_form():
 
 
 def test_roots_against_companion_matrix():
-    # floating cross-check only; the certified path is the Sturm/Newton one
+    # floating cross-check only; the certified path is the exact sign check
     p = natural(q=Q(7, 3), M=Q(1, 2), omega=Q(4, 5))
     for mode in ("free", "field"):
         rec, _ = derived_recurrence(p, 5, None, mode)
@@ -258,6 +260,70 @@ def test_isolate_detects_multiple_roots():
 def test_isolate_exact_rational_roots():
     roots = isolate_real_roots(QPoly([6, -5, 1]))  # (x-2)(x-3)
     assert [r.midpoint for r in roots if r.exact] == [2, 3]
+
+
+def _value(p, x):
+    # power-sum evaluation, independent of QPoly.__call__ and of the integer Horner
+    return sum(a * x**i for i, a in enumerate(p.c))
+
+
+def _with_roots(*roots):
+    out = QPoly([1])
+    for r in roots:
+        out = out * QPoly([-Q(r), 1])
+    return out
+
+
+positive_rationals = st.fractions(min_value=Q(1, 8), max_value=8, max_denominator=9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(M=positive_rationals, omega=positive_rationals, q=positive_rationals,
+       mode=st.sampled_from(["free", "field"]), j=st.integers(0, 12),
+       digits=st.integers(15, 60))
+def test_critical_roots_certified_property(M, omega, q, mode, j, digits):
+    rec, _ = derived_recurrence(natural(M=M, omega=omega, q=q), j, None, mode)
+    fam = polynomial_family(rec)
+    roots = critical_roots(fam, digits)
+    assert len(roots) == j + 1
+    assert all(a.hi < b.lo for a, b in zip(roots, roots[1:]))
+    for e in roots:
+        assert e.width < Q(1, 10**(digits + 10))
+        if e.exact:
+            assert _value(fam.critical, e.lo) == 0
+        else:
+            assert _value(fam.critical, e.lo) * _value(fam.critical, e.hi) < 0
+    if mode == "field":
+        assert [(-e.hi, -e.lo) for e in reversed(roots)] == [(e.lo, e.hi) for e in roots]
+
+
+@pytest.mark.parametrize("roots", [
+    (1, 1 + Q(1, 10**30), -2),
+    (1, 1 + Q(1, 10**70), -2),
+    (-1 - Q(1, 10**30), -1, 1, 1 + Q(1, 10**30)),
+], ids=["gap-1e-30", "gap-1e-70-below-cell", "parity-pairs"])
+def test_isolate_clustered_roots(roots):
+    # certified through the precision retry, never a RootPropertyError
+    p = _with_roots(*roots)
+    encs = isolate_real_roots(p, 50)
+    assert len(encs) == len(roots)
+    assert all(a.hi < b.lo for a, b in zip(encs, encs[1:]))
+    for e, r in zip(encs, sorted(roots)):
+        assert e.lo <= r <= e.hi and e.width < Q(1, 10**60)
+
+
+def test_isolate_root_property_counts():
+    for p, count in ((QPoly([1, 0, 1]), 0), (QPoly([1, -2, 1]), 1),
+                     (_with_roots(0, 0, 1), 2), (_with_roots(2, 2, 2, -1), 2)):
+        with pytest.raises(RootPropertyError) as err:
+            isolate_real_roots(p)
+        assert err.value.count == count
+
+
+def test_isolate_exact_roots_mirror():
+    # an even polynomial with dyadic roots: exact enclosures on both sides
+    roots = isolate_real_roots(QPoly([-36, 0, 1]))
+    assert [(r.lo, r.hi) for r in roots] == [(-6, -6), (6, 6)]
 
 
 # ---------------------------------------------------------------------------
