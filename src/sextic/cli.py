@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO
@@ -39,7 +40,7 @@ class RunConfig:
     m: Optional[int] = None
     params: PhysicalParams = None
     digits: int = 50
-    oracle_n: int = 8192
+    oracle_n: int = oracle_mod.DEFAULT_N
     r_max: Optional[float] = None
     count: Optional[int] = None
     tol: float = 1e-4
@@ -101,7 +102,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     cfg.digits = pick("digits", int, 50)
     if cfg.digits < 15:
         raise ConfigError("digits must be at least 15")
-    cfg.oracle_n = pick("oracle_n", int, 8192)
+    cfg.oracle_n = pick("oracle_n", int, oracle_mod.DEFAULT_N)
     cfg.r_max = pick("rmax", float)
     if cfg.r_max is not None and not (math.isfinite(cfg.r_max) and cfg.r_max > 0):
         raise ConfigError(f"rmax must be finite and positive, got {cfg.r_max}")
@@ -330,8 +331,9 @@ def cmd_spectrum(cfg: RunConfig, out: TextIO, with_oracle: bool = False) -> int:
             out.write(line + "\n")
         if with_oracle:
             for e in report["match_report"]["entries"]:
+                flags = f", oracle flags {','.join(e['oracle_flags'])}" if e["oracle_flags"] else ""
                 out.write(f"  match root {e['root_index']}: {e['verdict']} "
-                          f"(nearest {e['nearest_oracle']}, rel gap {e['relative_gap']})\n")
+                          f"(nearest {e['nearest_oracle']}, rel gap {e['relative_gap']}{flags})\n")
     else:
         out.write(dumps(report))
     return 0
@@ -373,6 +375,7 @@ def _run_match(cfg: RunConfig, spec: QesSpectrum, j: int) -> dict:
             "absolute_gap": None if e.absolute_gap is None else repr(e.absolute_gap),
             "relative_gap": None if e.relative_gap is None else repr(e.relative_gap),
             "verdict": e.verdict,
+            "oracle_flags": list(e.oracle_flags),
         } for e in rep.entries],
         "matched": rep.matched,
         "unmatched": len(rep.entries) - rep.matched,
@@ -515,6 +518,15 @@ def cmd_compare(cfg: RunConfig, out: TextIO) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # every option is long, so "-" before a digit or point starts a value:
+        # --q -1/2, --q -3 and --rmax -0.5 each reach the parser as values.
+        # _negative_number_matcher is private to argparse (checked on CPython
+        # 3.11, which reads it with .match); test_negative_value_as_separate_argument
+        # fails on a release that stops reading it
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
+
     def error(self, message):  # keep exit code 2 but avoid killing embedding callers
         self.exit(2, f"{self.prog}: error: {message}\n")
 
@@ -531,7 +543,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gauge", help="auto (default) or viable-candidate index")
     p.add_argument("--convention", choices=["consistent", "printed"])
     p.add_argument("--source", choices=["derived", "published"])
-    p.add_argument("--oracle-n", dest="oracle_n", type=int)
+    p.add_argument("--oracle-n", dest="oracle_n", type=int,
+                   help=f"base intervals n of the numerical solver's n, 2n, 4n ladder "
+                        f"(default {oracle_mod.DEFAULT_N}, near the rounding optimum)")
     p.add_argument("--rmax", type=float)
     p.add_argument("--count", type=int)
     p.add_argument("--tol", type=float)

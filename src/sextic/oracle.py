@@ -32,12 +32,23 @@ from .opcalc import Q
 from .qes import QesSpectrum, RadialWavefunction, _to_mpf
 
 __all__ = [
-    "Grid", "OracleSpectrum", "EigenvalueRecord", "MatchReport", "MatchEntry",
+    "DEFAULT_N", "Grid", "OracleSpectrum", "EigenvalueRecord", "MatchReport", "MatchEntry",
     "discretize", "potential_on_grid", "sturm_count", "eigenvalues_bisection",
     "refine", "shoot", "residual", "ode_residual", "match_report", "suggest_grid",
 ]
 
+DEFAULT_N = 1024
+"""Base intervals of the h, h/2, h/4 ladder: the one default of ``suggest_grid``
+and of the ``compare``, ``spectrum --oracle`` and ``oracle`` commands.
+
+Near this n discretization and rounding errors are of one size: the h^4
+estimate of :func:`refine` is within 3e-11 of the q = 0 oscillator
+eigenvalues 4, 8, 12, 16, where base 8192 is 2e-9 off and its finest level
+has a rounding floor eps * ||T|| of 2e-8 to 5e-8."""
+
+_EPS = float(np.finfo(float).eps)
 _ORDER_WINDOW = (1.7, 2.3)
+_ROUNDING_FLOORS = 4  # a ladder step below this many floors is rounding-limited
 
 
 @dataclass(frozen=True)
@@ -52,6 +63,10 @@ class Grid:
             raise DomainError("grid needs at least 64 intervals")
         if not math.isfinite(self.r_max) or self.r_max <= 0:
             raise DomainError(f"r_max must be finite and positive, got {self.r_max}")
+        h2 = self.h * self.h
+        if h2 == 0.0 or not math.isfinite(1.0 / h2):
+            raise DomainError(f"rmax = {self.r_max!r} is too small for {self.n} intervals: "
+                              "1/h^2 is not finite")
 
     @property
     def h(self) -> float:
@@ -111,22 +126,17 @@ def discretize(params: Optional[PhysicalParams], m: int, mode: str, grid: Grid,
 def sturm_count(diag: np.ndarray, off: np.ndarray, sigma: float) -> int:
     """Number of eigenvalues of the tridiagonal system strictly below sigma.
 
-    Counts the negative pivots of the LDL^T factorization of T - sigma.  A
-    zero pivot is replaced by -1e-300; the next quotient may then overflow to
-    an IEEE infinity, which the recurrence absorbs.  The loop runs on Python
-    floats, where that overflow is silent.
+    LAPACK ``dstebz`` over the value range (-inf, sigma'], sigma' the float
+    just below sigma: the count comes from the Sturm sequence of T - sigma',
+    and the largest float as tolerance asks for no bisection.  An eigenvalue
+    within rounding of sigma may fall on either side.
     """
-    sigma = float(sigma)
-    off2 = [0.0] + (np.asarray(off, dtype=np.float64) ** 2).tolist()
-    count = 0
-    d = 1.0
-    for a, b2 in zip(np.asarray(diag, dtype=np.float64).tolist(), off2):
-        d = (a - sigma) - b2 / d
-        if d == 0.0:
-            d = -1e-300
-        if d < 0.0:
-            count += 1
-    return count
+    below = float(np.nextafter(float(sigma), -np.inf))
+    found = eigh_tridiagonal(np.asarray(diag, dtype=np.float64),
+                             np.asarray(off, dtype=np.float64), eigvals_only=True,
+                             select="v", select_range=(-np.inf, below),
+                             lapack_driver="stebz", tol=np.finfo(float).max)
+    return len(found)
 
 
 def eigenvalues_bisection(diag: np.ndarray, off: np.ndarray, count: int) -> np.ndarray:
@@ -152,7 +162,14 @@ def eigenvalues_bisection(diag: np.ndarray, off: np.ndarray, count: int) -> np.n
 
 @dataclass(frozen=True)
 class EigenvalueRecord:
-    """Convergence record of one eigenvalue over the h, h/2, h/4 ladder."""
+    """Convergence record of one eigenvalue over the h, h/2, h/4 ladder.
+
+    ``flags`` name what weakens the record (see :func:`refine`).  A
+    ``non-monotone`` record is not trusted, nor is one both
+    ``rounding-limited`` and ``order-out-of-window``: its step is lost in
+    rounding and the ladder shows it.  A ``rounding-limited`` record whose
+    order stays in the window is trusted, since rounding did not disturb it.
+    """
 
     index: int
     value_h: float
@@ -165,7 +182,9 @@ class EigenvalueRecord:
 
     @property
     def trusted(self) -> bool:
-        return "non-monotone" not in self.flags
+        if "non-monotone" in self.flags:
+            return False
+        return not {"rounding-limited", "order-out-of-window"} <= set(self.flags)
 
 
 @dataclass(frozen=True)
@@ -185,23 +204,58 @@ class OracleSpectrum:
 
 def refine(params: Optional[PhysicalParams], m: int, mode: str, count: int,
            grid: Grid, convention: str = "consistent") -> OracleSpectrum:
-    """Solve at h, h/2, h/4 and Richardson-extrapolate assuming second order.
+    """Solve at h, h/2, h/4 and Richardson-extrapolate the h^2 and h^4 terms away.
 
-    The observed order log2((v_h - v_h2)/(v_h2 - v_h4)) is recorded per
-    eigenvalue and flagged when it leaves [1.7, 2.3]; non-monotone ladders
-    are flagged and excluded from match verdicts.
+    With d12 = v_h - v_h2 and d23 = v_h2 - v_h4, R0 = v_h2 - d12/3 and
+    R1 = v_h4 - d23/3 remove the h^2 term from levels 1-2 and 2-3; the
+    reported value R1 + (R1 - R0)/15 also removes the h^4 term.  Its bar is
+    |R1 - R0|/15 plus the rounding floor eps * ||T|| of the finest level.
+    For |m| < 2 outside the box the error has an odd power of h below h^4,
+    so the value stays R1 with the bar |d23|/3 + eps * ||T||.
+    ``observed_order`` is the raw ladder's log2(d12/d23).
+
+    Flags, each with its cause:
+
+    * ``non-monotone``: d12 and d23 differ in sign or d23 = 0.  The value is
+      v_h4 and the bar |d12| + |d23|.
+    * ``rounding-limited``: |d23| is below 4 rounding floors.  The floor
+      bounds bisection's error from above and is often far above it, so
+      the flag alone says only that the bar is set by rounding; the
+      observed order tells whether rounding has disturbed the ladder.
+    * ``order-out-of-window``: the observed order leaves [1.7, 2.3], so the
+      h^2 ansatz behind R0 and R1 does not hold.
+    * ``near-degenerate``: a neighbour at the finest level is closer than the
+      coarse step |d12|, so the ladder has not resolved the pair.  The top
+      record's upper neighbour is seen by one Sturm count of the finest
+      system at v_h4 + |d12|.
+    * ``ordering``: the value is not above the previous record's.
+
+    ``order-out-of-window`` and ``near-degenerate`` records carry the
+    conservative bar |d12| + |d23| + eps * ||T||.  ``non-monotone`` records,
+    and ``rounding-limited`` ones whose order also leaves the window, are
+    excluded from match verdicts (:attr:`EigenvalueRecord.trusted`).
     """
     levels = []
     for factor in (1, 2, 4):
         diag, off = discretize(params, m, mode, grid.refined(factor), convention)
         levels.append(eigenvalues_bisection(diag, off, count))
+    # eps * ||T|| of the finest level, ||T|| = max|diag| + 2 max|off|: bisection
+    # is accurate to a small multiple of it (Demmel 1997, section 5.3)
+    floor = _EPS * (float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off))))
     v1, v2, v3 = levels
+    # near the origin the solution goes as r^(m+1/2), which adds an h^(2m+1)
+    # term to the error: the h^4 step needs it past h^4, so |m| >= 2 (the box
+    # solution is smooth)
+    even_h4 = mode == "box" or abs(m) >= 2
     records = []
     prev = -math.inf
     for i in range(count):
-        d12, d23 = v1[i] - v2[i], v2[i] - v3[i]
-        # second-order ansatz: e(h) = C h^2, so the limit is v3 + (v3 - v2)/3
-        extrap = v3[i] + (v3[i] - v2[i]) / 3.0
+        d12, d23 = float(v1[i] - v2[i]), float(v2[i] - v3[i])
+        if i + 1 < count:
+            upper = v3[i + 1] - v3[i] < abs(d12)
+        else:  # one Sturm count: does the next eigenvalue lie within |d12|?
+            upper = sturm_count(diag, off, v3[i] + abs(d12)) > count
+        lower = i > 0 and v3[i] - v3[i - 1] < abs(d12)
         flags = []
         order = None
         if d12 * d23 <= 0 or d23 == 0:
@@ -210,9 +264,19 @@ def refine(params: Optional[PhysicalParams], m: int, mode: str, count: int,
             err = abs(d23) + abs(d12)
         else:
             order = math.log2(abs(d12) / abs(d23))
-            err = abs(d23) / 3.0
+            r0, r1 = v2[i] - d12 / 3.0, v3[i] - d23 / 3.0
+            if even_h4:
+                extrap, err = r1 + (r1 - r0) / 15.0, abs(r1 - r0) / 15.0 + floor
+            else:
+                extrap, err = r1, abs(d23) / 3.0 + floor
             if not (_ORDER_WINDOW[0] <= order <= _ORDER_WINDOW[1]):
                 flags.append("order-out-of-window")
+        if abs(d23) < _ROUNDING_FLOORS * floor:
+            flags.append("rounding-limited")
+        if lower or upper:
+            flags.append("near-degenerate")
+        if order is not None and {"order-out-of-window", "near-degenerate"} & set(flags):
+            err = abs(d12) + abs(d23) + floor
         if extrap <= prev:
             flags.append("ordering")
         prev = extrap
@@ -385,6 +449,7 @@ class MatchEntry:
     absolute_gap: Optional[float]
     relative_gap: Optional[float]
     verdict: str
+    oracle_flags: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -405,20 +470,30 @@ class MatchReport:
 def match_report(qes: QesSpectrum, oracle: OracleSpectrum, tol: float = 1e-4) -> MatchReport:
     """Deterministic verdicts: MATCHED iff |q - o| / max(1, |q|) <= tol.
 
-    Only trusted oracle eigenvalues (monotone refinement ladder) participate.
+    Trust policy: only trusted oracle records take part, so a
+    ``non-monotone`` ladder (no convergence) never decides a verdict, nor
+    does a ladder both ``rounding-limited`` and ``order-out-of-window`` (its
+    step lost in rounding, as at a far too fine grid or a huge r_max).  Any
+    other record is trusted: a ``rounding-limited`` ladder of regular order
+    converged cleanly (its bar is set by the floor), ``order-out-of-window``
+    and ``near-degenerate`` records already carry the conservative bar, and
+    ``ordering`` concerns the record's neighbour.
+    Every entry names the flags of the record it used in ``oracle_flags``, so
+    that no flagged record feeds a MATCHED verdict silently.
     """
     if qes.mode != oracle.mode or qes.m != oracle.m:
         raise DomainError("spectra to match must share mode and m")
-    usable = [(i, rec.extrapolated) for i, rec in enumerate(oracle.records) if rec.trusted]
+    usable = [rec for rec in oracle.records if rec.trusted]
     entries = []
     for idx, enc in enumerate(qes.roots_physical):
         qv = float(enc.midpoint)
         if usable:
-            oi, ov = min(usable, key=lambda t: abs(t[1] - qv))
-            gap = abs(ov - qv)
+            rec = min(usable, key=lambda r: abs(r.extrapolated - qv))
+            gap = abs(rec.extrapolated - qv)
             rel = gap / max(1.0, abs(qv))
             verdict = "MATCHED" if rel <= tol else "UNMATCHED"
-            entries.append(MatchEntry(idx, qv, ov, oi, gap, rel, verdict))
+            entries.append(MatchEntry(idx, qv, rec.extrapolated, rec.index, gap, rel,
+                                      verdict, rec.flags))
         else:
             entries.append(MatchEntry(idx, qv, None, None, None, None, "UNMATCHED"))
     return MatchReport(qes.mode, qes.m, tol, str(qes.ledger.shift), tuple(entries))
@@ -430,22 +505,28 @@ def match_report(qes: QesSpectrum, oracle: OracleSpectrum, tol: float = 1e-4) ->
 
 
 def suggest_grid(params: Optional[PhysicalParams], m: int, mode: str, count: int,
-                 n: int = 8192, margin: float = 1.5, v_margin: float = 4.0,
+                 n: int = DEFAULT_N, margin: float = 1.5, v_margin: float = 4.0,
                  convention: str = "consistent") -> Grid:
     """Domain size from the turning point of the largest sought eigenvalue.
 
-    A coarse solve estimates the top eigenvalue; r_max is the classical
-    turning point times ``margin``, grown until the potential there exceeds
-    the eigenvalue scale ``v_margin`` times over.  The sextic growth keeps
-    the domains modest.
+    A coarse solve on max(512, 2 * count) intervals estimates the top
+    eigenvalue; r_max is the classical turning point times ``margin``, grown
+    until the potential there exceeds the eigenvalue scale ``v_margin``
+    times over, and then until the wall moves the top eigenvalue by less
+    than the rounding floor of the ladder's finest level.  The sextic growth
+    keeps the domains modest.  ``count`` may be at most n - 1, the unknowns
+    of the n-interval grid asked for.
     """
+    if count > n - 1:
+        raise DomainError(f"asked for {count} eigenvalues of the {n - 1}-dimensional "
+                          f"system of a grid of n = {n} intervals")
     if mode == "box":
         return Grid(math.pi, n)
-    _, mult = _operator_floats(params, m, mode, convention)
+    kin, mult = _operator_floats(params, m, mode, convention)
     u = partial(_power_sum, mult)
     r_max = 4.0
     for _ in range(3):
-        coarse = Grid(r_max, 512)
+        coarse = Grid(r_max, max(512, 2 * count))
         diag, off = discretize(params, m, mode, coarse, convention)
         lam = eigenvalues_bisection(diag, off, count)
         lam_top = float(lam[-1])
@@ -474,4 +555,19 @@ def suggest_grid(params: Optional[PhysicalParams], m: int, mode: str, count: int
             r_max = r_new
             break
         r_max = r_new
+    # past the turning point the top eigenfunction decays as exp(-S), S the
+    # integral of sqrt((u - lam)/kin), and the wall at r_max shifts the
+    # eigenvalue by about lam * exp(-2 S), which no error bar covers: grow the
+    # domain until that shift is below the rounding floor eps * 4 kin / h^2
+    # of the finest level, h = r_max / (4 n)
+    while scale * math.exp(-2.0 * _decay(u, kin, lam_top, r_turn, r_max)) > \
+            _EPS * 4.0 * kin * (4 * n / r_max) ** 2:
+        r_max *= 1.2
     return Grid(r_max, n)
+
+
+def _decay(u, kin: float, lam: float, r_from: float, r_to: float) -> float:
+    """Midpoint rule for the WKB exponent: integral of sqrt(max(u - lam, 0) / kin)."""
+    edges = np.linspace(r_from, r_to, 257)
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    return float(np.sum(np.sqrt(np.maximum(u(mids) - lam, 0.0) / kin)) * (edges[1] - edges[0]))

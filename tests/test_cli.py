@@ -274,3 +274,78 @@ def test_root_property_error_exits_2(capsys):
     code, out = run(["spectrum", "--mode", "field", "--j", "3", "--q=-1"])
     assert code == 2 and out == ""
     assert "only 0 distinct real roots for degree 4" in capsys.readouterr().err
+
+
+def test_rmax_underflow_exits_2(capsys):
+    code, out = run(["oracle", "--box", "--rmax", "1e-300", "--count", "2"])
+    assert code == 2 and out == ""
+    assert "rmax" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1/2", "-3", "-0.5"])
+def test_negative_value_as_separate_argument(value):
+    argv = ["oracle", "--mode", "free", "--m", "2", "--oracle-n", "512", "--count", "2"]
+    separate = run(argv + ["--q", value])
+    assert separate[0] == 0
+    assert separate == run(argv + [f"--q={value}"])
+
+
+def test_option_after_option_is_still_an_option(capsys):
+    code, out = run(["oracle", "--mode", "free", "--m", "2", "--q", "--count", "2"])
+    assert code == 2 and out == ""
+    assert "argument --q: expected one argument" in capsys.readouterr().err
+
+
+def test_count_beyond_the_requested_grid_exits_2(capsys):
+    code, out = run(["oracle", "--mode", "free", "--m", "2", "--count", "1100",
+                     "--oracle-n", "1024"])
+    assert code == 2 and out == ""
+    assert "1023-dimensional system of a grid of n = 1024" in capsys.readouterr().err
+
+
+def test_oracle_and_compare_default_to_n_1024():
+    code, out = run(["oracle", "--mode", "free", "--q", "0", "--m", "2", "--count", "2"])
+    assert code == 0 and json.loads(out)["grid"]["n"] == 1024
+    argv = ["compare", "--mode", "field", "--j", "0"]
+    assert run(argv) == run(argv + ["--oracle-n", "1024"])
+
+
+def test_rounding_limited_oracle_record(capsys):
+    # eps * ||T|| is about 1e20 at r_max = 1e6: the record is rounding noise
+    code, out = run(["oracle", "--mode", "field", "--m", "3", "--rmax", "1e6",
+                     "--count", "2", "--oracle-n", "512"])
+    assert code == 0
+    for rec in json.loads(out)["eigenvalues"]:
+        assert "rounding-limited" in rec["flags"]
+        assert float(rec["error"]) > abs(float(rec["extrapolated"]))
+
+
+def test_finer_base_keeps_the_verdicts():
+    # at base 8192 the finest floor is 2.8e-7 and two records are
+    # rounding-limited, yet every record still takes part
+    argv = ["compare", "--mode", "field", "--j", "1"]
+    reports = []
+    for extra in ([], ["--oracle-n", "8192"]):
+        code, out = run(argv + extra)
+        assert code == 0
+        reports.append(json.loads(out)["match_report"])
+    coarse, fine = reports
+    assert any("rounding-limited" in r["flags"] for r in fine["oracle_eigenvalues"])
+    for mr in reports:
+        assert all(r["flags"] in ([], ["rounding-limited"]) for r in mr["oracle_eigenvalues"])
+    bars = [{r["value"]: float(r["error"]) for r in mr["oracle_eigenvalues"]} for mr in reports]
+    for a, b in zip(coarse["entries"], fine["entries"]):
+        assert a["verdict"] == b["verdict"]
+        gap = abs(float(a["nearest_oracle"]) - float(b["nearest_oracle"]))
+        assert gap <= bars[0][a["nearest_oracle"]] + bars[1][b["nearest_oracle"]]
+
+
+def test_match_entries_carry_oracle_flags():
+    code, out = run(["compare", "--mode", "free", "--j", "0", "--M", "3", "--omega", "2",
+                     "--q", "1/3", "--count", "5"])
+    assert code == 0
+    mr = json.loads(out)["match_report"]
+    flags = {r["value"]: r["flags"] for r in mr["oracle_eigenvalues"]}
+    assert flags[mr["oracle_eigenvalues"][1]["value"]] == ["near-degenerate"]
+    for entry in mr["entries"]:
+        assert entry["oracle_flags"] == flags[entry["nearest_oracle"]]
