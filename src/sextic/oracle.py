@@ -81,15 +81,24 @@ class Grid:
 
 def _operator_floats(params: Optional[PhysicalParams], m: int, mode: str,
                      convention: str = "consistent"):
-    """(kinetic coefficient c^2 hbar^2, multiplicative coefficients {power: float})."""
+    """(kinetic coefficient c^2 hbar^2, multiplicative coefficients {power: float}).
+
+    :class:`DomainError` when a coefficient overflows a float or a non-zero one
+    rounds to 0.0 (c = 1e-300 loses the kinetic term, q = 1e-300 the r^6 wall).
+    """
     if mode == "box":
         return 1.0, {0: 0.0}
     if params is None:
         raise DomainError("physical modes need parameters")
     op = radial_operator(params, m, mode, convention)
-    kin = -float(op.coeff(2).constant_term)
-    mult = {e: float(v) for e, v in op.coeff(0).d.items()}
-    return kin, mult
+    exact = {"kinetic": -op.coeff(2).constant_term, **op.coeff(0).d}
+    try:
+        floats = {e: float(v) for e, v in exact.items()}
+    except OverflowError as exc:
+        raise DomainError("a coefficient of the radial operator does not fit a float") from exc
+    if any(v == 0.0 and exact[e] for e, v in floats.items()):
+        raise DomainError("a non-zero coefficient of the radial operator rounds to 0.0 as a float")
+    return floats.pop("kinetic"), floats
 
 
 def _power_sum(coeffs: dict, r):
@@ -114,13 +123,12 @@ def discretize(params: Optional[PhysicalParams], m: int, mode: str, grid: Grid,
     diagonal[i] = 2 c^2 hbar^2 / h^2 + U(r_i), off-diagonal = -c^2 hbar^2 / h^2.
     """
     kin, mult = _operator_floats(params, m, mode, convention)
-    u = _power_sum(mult, grid.nodes())
-    if not np.all(np.isfinite(u)):
-        raise DomainError("potential overflows at the grid nodes; reduce r_max")
     h2 = grid.h * grid.h
-    diag = 2.0 * kin / h2 + u
-    off = np.full(len(u) - 1, -kin / h2)
-    return diag, off
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = 2.0 * kin / h2 + _power_sum(mult, grid.nodes())
+    if not np.all(np.isfinite(diag)):
+        raise DomainError("potential overflows at the grid nodes; reduce r_max")
+    return diag, np.full(len(diag) - 1, -kin / h2)
 
 
 def sturm_count(diag: np.ndarray, off: np.ndarray, sigma: float) -> int:
@@ -478,12 +486,17 @@ def match_report(qes: QesSpectrum, oracle: OracleSpectrum, tol: float = 1e-4) ->
     converged cleanly (its bar is set by the floor), ``order-out-of-window``
     and ``near-degenerate`` records already carry the conservative bar, and
     ``ordering`` concerns the record's neighbour.
+    A trusted record takes part only when its bar is within the tolerance,
+    ``error_estimate <= tol * max(1, |value|)``: a record whose bar exceeds
+    the tolerance cannot tell MATCHED from UNMATCHED, so it decides neither
+    (a root with no such record is UNMATCHED with no nearest value).
     Every entry names the flags of the record it used in ``oracle_flags``, so
     that no flagged record feeds a MATCHED verdict silently.
     """
     if qes.mode != oracle.mode or qes.m != oracle.m:
         raise DomainError("spectra to match must share mode and m")
-    usable = [rec for rec in oracle.records if rec.trusted]
+    usable = [rec for rec in oracle.records if rec.trusted
+              and rec.error_estimate <= tol * max(1.0, abs(rec.extrapolated))]
     entries = []
     for idx, enc in enumerate(qes.roots_physical):
         qv = float(enc.midpoint)
@@ -522,6 +535,17 @@ def suggest_grid(params: Optional[PhysicalParams], m: int, mode: str, count: int
                           f"system of a grid of n = {n} intervals")
     if mode == "box":
         return Grid(math.pi, n)
+    try:
+        return Grid(_domain(params, m, mode, count, n, margin, v_margin, convention), n)
+    except (OverflowError, FloatingPointError) as exc:
+        raise DomainError(f"no confining domain: the float potential fails to rise above "
+                          f"the sought eigenvalues ({exc})") from exc
+
+
+@np.errstate(over="raise", invalid="raise", divide="raise")
+def _domain(params, m, mode, count, n, margin, v_margin, convention) -> float:
+    """r_max of :func:`suggest_grid`; a potential that overflows or never rises above
+    the sought eigenvalues (free mode at q = omega = 0) raises instead of warning."""
     kin, mult = _operator_floats(params, m, mode, convention)
     u = partial(_power_sum, mult)
     r_max = 4.0
@@ -563,7 +587,7 @@ def suggest_grid(params: Optional[PhysicalParams], m: int, mode: str, count: int
     while scale * math.exp(-2.0 * _decay(u, kin, lam_top, r_turn, r_max)) > \
             _EPS * 4.0 * kin * (4 * n / r_max) ** 2:
         r_max *= 1.2
-    return Grid(r_max, n)
+    return r_max
 
 
 def _decay(u, kin: float, lam: float, r_from: float, r_to: float) -> float:

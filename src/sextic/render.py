@@ -17,7 +17,9 @@ from .opcalc import Q, QPoly
 from .qes import QesSpectrum, RootEnclosure
 
 __all__ = ["frac_str", "decimal_fixed", "enclosure_json", "poly_json",
-           "poly_text", "gauge_json", "ledger_json", "spectrum_json", "dumps"]
+           "poly_text", "gauge_json", "ledger_json", "gauge_candidate_json",
+           "module_hamiltonian_json", "oracle_record_json", "match_entry_json",
+           "spectrum_json", "dumps"]
 
 
 def frac_str(q: Fraction) -> str:
@@ -108,6 +110,68 @@ def gauge_json(g) -> dict[str, Any]:
 def ledger_json(led) -> dict[str, Any]:
     return {"scale": frac_str(led.scale), "shift": frac_str(led.shift),
             "provenance": list(led.provenance)}
+
+
+def gauge_candidate_json(index: int, cand) -> dict[str, Any]:
+    """One row of a gauge search: the gauge, and its reduced operator,
+    recurrence and ledger when it is viable or why it was rejected."""
+    row = {"index": index, "gauge": gauge_json(cand.gauge)}
+    if not cand.viable:
+        return {**row, "rejected": cand.error}
+    rec = cand.recurrence
+    return {
+        **row,
+        "reduced_operator": rec.operator.canonical_text(),
+        "recurrence": {"alpha_k": poly_text(rec.alpha, var="k"),
+                       "beta_k": poly_text(rec.beta, var="k"),
+                       "gamma_k": poly_text(rec.gamma, var="k"),
+                       "truncation_index": rec.truncation_index},
+        "ledger": ledger_json(cand.ledger),
+        "reproduces_published_ode": cand.diagnostics["reproduces_published_ode"],
+        "published_constant": frac_str(cand.diagnostics["published_constant"]),
+        "constant_consistent": cand.diagnostics["constant_consistent"],
+    }
+
+
+def module_hamiltonian_json(cp: dict) -> dict[str, Any]:
+    """How the published sl2 combination relates to the derived free-mode
+    block, from a ``qes.crosspath_comparison`` result."""
+    return {
+        "charpoly": poly_json(cp["charpoly_module"]),
+        "published_offset": frac_str(cp["offset_published"]),
+        "published_offset_matches": cp["published_offset_matches"],
+        "implied_offset": frac_str(cp["offset_implied"]),
+        "implied_offset_matches": cp["implied_offset_matches"],
+        "q_sign_flipped": cp["q_flipped_in_module_hamiltonian"],
+    }
+
+
+def oracle_record_json(rec) -> dict[str, Any]:
+    """An ``oracle.EigenvalueRecord``: floats as repr strings, the observed
+    order rounded to 3 places."""
+    return {
+        "index": rec.index,
+        "value_h": repr(rec.value_h),
+        "value_h2": repr(rec.value_h2),
+        "value_h4": repr(rec.value_h4),
+        "extrapolated": repr(rec.extrapolated),
+        "observed_order": None if rec.observed_order is None else round(rec.observed_order, 3),
+        "error": repr(rec.error_estimate),
+        "flags": list(rec.flags),
+    }
+
+
+def match_entry_json(e) -> dict[str, Any]:
+    """An ``oracle.MatchEntry``: one block root, its verdict and the record it met."""
+    return {
+        "root_index": e.root_index,
+        "qes_physical": repr(e.qes_value),
+        "nearest_oracle": None if e.nearest_oracle is None else repr(e.nearest_oracle),
+        "absolute_gap": None if e.absolute_gap is None else repr(e.absolute_gap),
+        "relative_gap": None if e.relative_gap is None else repr(e.relative_gap),
+        "verdict": e.verdict,
+        "oracle_flags": list(e.oracle_flags),
+    }
 
 
 def spectrum_json(spec: QesSpectrum, digits: int) -> dict[str, Any]:

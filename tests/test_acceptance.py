@@ -240,10 +240,10 @@ def test_criterion_10_performance():
     assert all(r.width < Q(1, 10**50) for r in roots)
     assert dt_exact < 1.0
 
-    # 20000-point solve for 10 eigenvalues (kernel warmed by earlier tests)
+    # 20000-point solve for 10 eigenvalues
     grid = oracle_mod.Grid(4.0, 20000)
     diag, off = oracle_mod.discretize(NAT, 3, "field", grid)
-    oracle_mod.sturm_count(diag, off, 0.0)  # ensure the kernel is compiled
+    oracle_mod.sturm_count(diag, off, 0.0)  # warm-up: one LAPACK dstebz call, untimed
     t1 = time.time()
     vals = oracle_mod.eigenvalues_bisection(diag, off, 10)
     dt_solve = time.time() - t1

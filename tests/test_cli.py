@@ -1,12 +1,17 @@
 """Command-line tests: exit codes, determinism, report content."""
 
+import argparse
+import contextlib
 import io
 import json
 import warnings
+from datetime import timedelta
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from sextic.cli import main
+from sextic.cli import build_parser, main
 
 
 def run(argv):
@@ -333,7 +338,8 @@ def test_finer_base_keeps_the_verdicts():
     assert any("rounding-limited" in r["flags"] for r in fine["oracle_eigenvalues"])
     for mr in reports:
         assert all(r["flags"] in ([], ["rounding-limited"]) for r in mr["oracle_eigenvalues"])
-    bars = [{r["value"]: float(r["error"]) for r in mr["oracle_eigenvalues"]} for mr in reports]
+    bars = [{r["extrapolated"]: float(r["error"]) for r in mr["oracle_eigenvalues"]}
+            for mr in reports]
     for a, b in zip(coarse["entries"], fine["entries"]):
         assert a["verdict"] == b["verdict"]
         gap = abs(float(a["nearest_oracle"]) - float(b["nearest_oracle"]))
@@ -345,7 +351,169 @@ def test_match_entries_carry_oracle_flags():
                      "--q", "1/3", "--count", "5"])
     assert code == 0
     mr = json.loads(out)["match_report"]
-    flags = {r["value"]: r["flags"] for r in mr["oracle_eigenvalues"]}
-    assert flags[mr["oracle_eigenvalues"][1]["value"]] == ["near-degenerate"]
+    flags = {r["extrapolated"]: r["flags"] for r in mr["oracle_eigenvalues"]}
+    assert flags[mr["oracle_eigenvalues"][1]["extrapolated"]] == ["near-degenerate"]
     for entry in mr["entries"]:
         assert entry["oracle_flags"] == flags[entry["nearest_oracle"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--mode", "free", "--j", "1", "--c", "1e-300", "--oracle-n", "128"],
+    ["compare", "--mode", "field", "--j", "0", "--c", "1e-300", "--oracle-n", "128"],
+    ["oracle", "--mode", "free", "--j", "0", "--c", "1e300", "--oracle-n", "128"],
+], ids=["kinetic-underflow", "compare-kinetic-underflow", "coefficient-overflow"])
+def test_operator_without_a_float_image_exits_2(argv, capsys):
+    code, out = run(argv)
+    assert code == 2 and out == ""
+    assert "float" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window", [
+    ["--r-from", "0"], ["--r-to", "-0.0"], ["--r-from", "-3"], ["--r-to", "nan"],
+    ["--r-from", "inf"], ["--r-from", "1e300", "--samples", "3"],
+], ids=["zero", "negative-zero", "negative", "nan", "inf", "rounds-to-zero"])
+def test_wavefunction_window_must_be_positive(window, capsys):
+    code, out = run(["wavefunction", "--mode", "field", "--j", "0", *window])
+    assert code == 2 and out == ""
+    assert "finite and positive" in capsys.readouterr().err
+
+
+def test_a_verdict_respects_the_record_bar():
+    code, out = run(["spectrum", "--mode", "field", "--j", "1", "--oracle", "--rmax", "1e6",
+                     "--oracle-n", "256", "--count", "4"])
+    assert code == 0
+    mr = json.loads(out)["match_report"]
+    assert max(float(r["error"]) for r in mr["oracle_eigenvalues"]) > 1e20
+    for entry in mr["entries"]:
+        assert entry["nearest_oracle"] is None and entry["verdict"] == "UNMATCHED"
+
+
+def test_oracle_rejects_m_0_outside_the_box(capsys):
+    code, out = run(["oracle", "--mode", "free", "--q", "0", "--m", "0", "--count", "2"])
+    assert code == 2 and out == ""
+    assert "m >= 1 outside --box" in capsys.readouterr().err
+    assert run(["oracle", "--box", "--m", "0", "--count", "2", "--oracle-n", "64"])[0] == 0
+    assert run(["oracle", "--mode", "free", "--q", "0", "--m", "1", "--count", "2",
+                "--oracle-n", "512"])[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--fast", "--mode", "field"],
+    ["verify", "--fast", "--M", "0"],
+    ["spectrum", "--mode", "field", "--j", "0", "--format", "csv"],
+    ["polys", "--mode", "field", "--j", "0", "--format", "csv"],
+    ["derive", "--mode", "field", "--j", "0", "--digits", "30"],
+    ["wavefunction", "--mode", "field", "--j", "0", "--format", "json"],
+    ["compare", "--mode", "field", "--j", "0", "--source", "published"],
+])
+def test_an_option_the_command_does_not_read_exits_2(argv, capsys):
+    code, out = run(argv)
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err or "invalid choice" in err
+
+
+@pytest.mark.parametrize("line", ["omgea=3", "samples=3", "config=other.cfg"])
+def test_a_config_key_the_command_does_not_read_exits_2(line, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"mode=field\nj=0\n{line}\n")
+    code, out = run(["spectrum", "--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert "spectrum reads no key" in capsys.readouterr().err
+
+
+def test_config_keys_are_the_option_names(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode=field\nj=0\nsamples=2\nr_from=0.5\nr_to=1\n")
+    code, out = run(["wavefunction", "--config", str(cfg)])
+    assert code == 0
+    assert out == run(["wavefunction", "--mode", "field", "--j", "0", "--samples", "2",
+                       "--r-from", "0.5", "--r-to", "1"])[1]
+
+
+# -- argv fuzz: every argv exits 0 or 2, and 2 writes nothing to stdout ------
+
+_FLOATS = ["1e300", "1e-300", "0.5", "nan", "inf", "-inf", "-0.0", "0", "-1e300", "-3"]
+_RATIONALS = ["1e-300", "1e300", "-1/2", "3/4", "2", "0", "-0.0", "-1e-300", "1/0", "abc",
+              "1/2/3", "3/", ""]
+_FUZZ_VALUES = {
+    "--mode": ["free", "field", "box"],
+    "--j": ["0", "1", "-1", "x"],
+    "--m": ["0", "1", "2", "3", "-2"],
+    **{f"--{key}": _RATIONALS for key in ("M", "c", "hbar", "omega", "q", "e", "B")},
+    "--digits": ["15", "60", "5"],
+    "--oracle-n": ["64", "128", "256", "63", "0", "-8"],
+    "--rmax": ["1e6", "1e-10", "5"] + _FLOATS,
+    "--count": ["1", "4", "0", "-3"],
+    "--tol": _FLOATS,
+    "--format": ["json", "csv", "pretty", "xml"],
+    "--gauge": ["auto", "0", "1", "9", "-1", "x"],
+    "--convention": ["consistent", "printed", "other"],
+    "--source": ["derived", "published"],
+    "--root-index": ["0", "1", "3", "-1"],
+    "--r-from": _FLOATS,
+    "--r-to": _FLOATS,
+    "--samples": ["0", "1", "3", "-1"],
+    "--inject-fault": ["sl2-sign"],
+    "--oracle": None, "--box": None, "--fast": None,
+}
+_MODEL_FLAGS = ("--mode", "--j", "--m", "--M", "--c", "--hbar", "--omega", "--q", "--e", "--B")
+# the flags each command reads; the first ones go into every draw, so that
+# no draw is expensive (--oracle-n at most 256, --samples at most 3)
+_READS = {
+    "derive": ("--j", *_MODEL_FLAGS, "--convention", "--format"),
+    "polys": ("--j", *_MODEL_FLAGS, "--gauge", "--convention", "--format"),
+    "spectrum": ("--j", "--oracle-n", *_MODEL_FLAGS, "--digits", "--gauge", "--convention",
+                 "--source", "--rmax", "--count", "--tol", "--format", "--oracle"),
+    "oracle": ("--j", "--oracle-n", *_MODEL_FLAGS, "--convention", "--rmax", "--count",
+               "--format", "--box"),
+    "wavefunction": ("--j", "--samples", *_MODEL_FLAGS, "--digits", "--gauge", "--convention",
+                     "--root-index", "--r-from", "--r-to"),
+    "compare": ("--j", "--oracle-n", *_MODEL_FLAGS, "--digits", "--gauge", "--convention",
+                "--rmax", "--count", "--tol", "--format"),
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_READS)))
+    reads = _READS[command]
+    base = reads[:reads.index("--mode")]
+    chosen = list(base) + draw(st.lists(st.sampled_from(reads[len(base):]), unique=True,
+                                        max_size=4))
+    chosen += draw(st.lists(st.sampled_from(sorted(_FUZZ_VALUES)), max_size=1))  # any flag
+    flags = {}
+    for flag in chosen:
+        pool = _FUZZ_VALUES[flag]
+        flags[flag] = None if pool is None else draw(
+            st.sampled_from(pool[:3] if flag in base else pool))
+    argv = [command]
+    for flag, value in flags.items():
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=20), derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_argvs())
+def test_argv_fuzz_exits_0_or_2(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run(argv)
+    assert code in (0, 2), err.getvalue()
+    assert "internal error" not in err.getvalue()
+    if code == 2:
+        assert out == ""
+
+
+def test_each_command_registers_the_options_it_reads():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+    def registered(command):
+        return {flag for action in sub.choices[command]._actions
+                for flag in action.option_strings} - {"-h", "--help"}
+
+    for command, reads in _READS.items():
+        assert registered(command) == {*reads, "--config"}, command
+    assert registered("verify") == {"--fast", "--inject-fault"}

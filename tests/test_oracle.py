@@ -90,11 +90,23 @@ def test_bisection_count_edges():
 
 
 def test_sturm_count_zero_pivot_is_silent():
-    # sigma hits the first pivot exactly; the nudged pivot sends the next
-    # quotient to +inf, which must neither warn nor miscount
+    # sigma sits on the first diagonal entry, so the Sturm sequence of T - sigma'
+    # (sigma' the float just below sigma) starts with a pivot of one ulp and
+    # then a quotient near -1e20 / ulp: dstebz must neither warn nor miscount
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert sturm_count(np.array([1.0, 1.0]), np.array([1e10]), 1.0) == 1
+
+
+def test_sturm_count_is_strictly_below_sigma():
+    # tridiag(1, 2, 1) of order 5 has the eigenvalues 2 - sqrt 3, 1, 2, 3, 2 + sqrt 3;
+    # a few rounding floors eps * ||T|| either side of 1, 2 and 3 the count steps
+    diag, off = np.full(5, 2.0), np.ones(4)
+    floor = np.finfo(float).eps * 4.0
+    for below, lam in enumerate((1.0, 2.0, 3.0), start=1):
+        for k in (1, 3):
+            assert sturm_count(diag, off, lam - k * floor) == below
+            assert sturm_count(diag, off, lam + k * floor) == below + 1
 
 
 def test_sturm_count_matches_dense_diagonalization():
@@ -424,6 +436,32 @@ def test_match_entries_name_the_oracle_flags():
     assert first.verdict == "MATCHED" and first.oracle_flags == ("near-degenerate",)
     # the untrusted record takes no part: root 1 meets record 0
     assert second.oracle_index == 0 and second.verdict == "UNMATCHED"
+
+
+def test_a_record_whose_bar_exceeds_the_tolerance_decides_no_verdict():
+    spec = spectrum(natural(), 1, "field")
+    vals = [float(e.midpoint) for e in spec.roots_physical]
+    tol = 1e-4
+    # one record on each root; the first one's bar is just over tol * |value|
+    bars = [tol * max(1.0, abs(v)) for v in vals]
+    recs = (EigenvalueRecord(0, vals[0], vals[0], vals[0], vals[0], 2.0, bars[0] * 1.01),
+            EigenvalueRecord(1, vals[1], vals[1], vals[1], vals[1], 2.0, bars[1] * 0.99))
+    rep = match_report(spec, OracleSpectrum("field", 3, None, Grid(4.0, 64), recs), tol)
+    assert [e.oracle_index for e in rep.entries] == [1, 1]
+    assert [e.verdict for e in rep.entries] == ["UNMATCHED", "MATCHED"]
+    wide = tuple(EigenvalueRecord(i, v, v, v, v, 2.0, 1.0) for i, v in enumerate(vals))
+    rep = match_report(spec, OracleSpectrum("field", 3, None, Grid(4.0, 64), wide), tol)
+    assert all(e.nearest_oracle is None and e.verdict == "UNMATCHED" for e in rep.entries)
+
+
+def test_operator_floats_reject_a_lost_or_overflowing_coefficient():
+    grid = Grid(4.0, 64)
+    for params in (natural(c=Q(1, 10**300)), natural(q=Q(1, 10**300)),
+                   natural(c=10**300), natural(M=10**300)):
+        with pytest.raises(DomainError, match="float"):
+            discretize(params, 3, "free", grid)
+    with pytest.raises(DomainError, match="no confining domain"):
+        suggest_grid(natural(q=0, omega=0), 2, "free", 2)
 
 
 def test_match_requires_compatible_runs():

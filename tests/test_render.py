@@ -4,9 +4,11 @@ from fractions import Fraction as Q
 
 from sextic.model import PhysicalParams
 from sextic.opcalc import QPoly
+from sextic.oracle import EigenvalueRecord, MatchEntry
 from sextic.qes import RootEnclosure, spectrum
 from sextic.render import (decimal_fixed, dumps, enclosure_json, frac_str,
-                           poly_text, spectrum_json)
+                           match_entry_json, oracle_record_json, poly_text,
+                           spectrum_json)
 
 
 def test_frac_str():
@@ -48,3 +50,19 @@ def test_spectrum_json_carries_provenance():
     assert blob["gauge"]["normalizability"] == "divergent-at-origin-and-infinity"
     assert len(blob["roots"]) == 2
     assert dumps(blob) == dumps(blob)
+
+
+def test_oracle_record_json_rounds_the_order_once_to_3_places():
+    rec = EigenvalueRecord(2, 4.5, 4.125, 4.03125, 4.0, 2.0004999, 1e-9, ("ordering",))
+    assert oracle_record_json(rec) == {
+        "index": 2, "value_h": "4.5", "value_h2": "4.125", "value_h4": "4.03125",
+        "extrapolated": "4.0", "observed_order": 2.0, "error": "1e-09", "flags": ["ordering"]}
+    assert oracle_record_json(EigenvalueRecord(0, 1.0, 1.0, 1.0, 1.0, None, 0.5))[
+        "observed_order"] is None
+
+
+def test_match_entry_json_without_a_usable_record():
+    blob = match_entry_json(MatchEntry(1, -2.5, None, None, None, None, "UNMATCHED"))
+    assert blob == {"root_index": 1, "qes_physical": "-2.5", "nearest_oracle": None,
+                    "absolute_gap": None, "relative_gap": None, "verdict": "UNMATCHED",
+                    "oracle_flags": []}
