@@ -21,8 +21,7 @@ print("monic critical polynomials in the reduced eigenvalue, eta^2 = 16 q c^4 hb
 print("=" * 72)
 u = eta_squared(params)
 for j in range(9):
-    rec, ledger = derived_recurrence(params, j, None, "field")
-    crit = polynomial_family(rec).critical
+    crit = polynomial_family(derived_recurrence(params, j, None, "field")).critical
     pub = published_field_table(params, j + 1)
     verdict = "MATCH" if crit == pub else "MISMATCH"
     print(f"P_{j + 1}: {poly_text(crit, unit=u):<62} {verdict}")
@@ -40,7 +39,7 @@ print("field-free mode, physical eigenvalue eps^2 = E^2 - M^2 c^4")
 print("=" * 72)
 table = published_free_table(params)
 for j in range(4):
-    rec, ledger = derived_recurrence(params, j, None, "free")
+    rec = derived_recurrence(params, j, None, "free")
     crit = polynomial_family(rec).in_physical_variable().critical
     verdict = "MATCH" if crit == table[j + 1].monic() else "MISMATCH"
     print(f"P_{j + 1}: {poly_text(crit):<62} {verdict}")

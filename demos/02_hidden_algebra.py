@@ -46,7 +46,7 @@ print("spectral cross-path: module Hamiltonian vs derived block")
 print("=" * 72)
 for j in range(4):
     rep = crosspath_comparison(params, j)
-    rec, _ = derived_recurrence(params, j, None, "free")
+    rec = derived_recurrence(params, j, None, "free")
     crit = polynomial_family(rec).in_physical_variable().critical
     print(f"j={j}:")
     print(f"  char poly (q flipped):    {poly_text(rep['charpoly_module'], var='L')}")

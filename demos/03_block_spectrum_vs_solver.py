@@ -30,8 +30,8 @@ for mode, levels in (("field", (0, 1, 2)), ("free", (0, 1))):
         print(f"\nj = {j} (m = {m}), ledger: physical = reduced + ({spec.ledger.shift})")
         print(f"  solver eigenvalues: "
               + ", ".join(f"{v:.6f}" for v in solver.eigenvalues))
-        for enc, ph, entry in zip(spec.roots_reduced, spec.roots_physical, rep.entries):
-            wf = wavefunction(params, j, enc, mode)
+        for i, (ph, entry) in enumerate(zip(spec.roots_physical, rep.entries)):
+            wf = wavefunction(spec, i)
             res = residual(wf, params, m, mode, ph.mpf(50))
             print(f"  block root eps^2 = {float(ph.midpoint):+.6f}  "
                   f"ODE residual {res:.1e}  "

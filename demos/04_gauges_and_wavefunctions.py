@@ -37,7 +37,7 @@ print("=" * 72)
 print("closed form at the lowest magnetic j = 1 root")
 print("=" * 72)
 spec = spectrum(params, 1, "field", digits=30)
-wf = wavefunction(params, 1, spec.roots_reduced[0], "field", digits=30)
+wf = wavefunction(spec, 0)
 print(f"gauge: r^({wf.gauge.power}) exp(-({wf.gauge.quartic}) r^4/4h), "
       f"{wf.normalizability}")
 print(f"series coefficients: "

@@ -185,9 +185,8 @@ def _build_config(args: argparse.Namespace, cmd: Command) -> RunConfig:
     cfg = RunConfig(**values, **{name: getattr(args, name) for name, _ in cmd.switches})
     if cfg.j is not None and cfg.m is not None and cfg.m != cfg.j + 2:
         raise ConfigError(f"m = j + 2 required (got m={cfg.m}, j={cfg.j})")
-    cfg.params = PhysicalParams.from_mapping({key: values[key] for key in PARAM_KEYS})
-    if cfg.mode == "field" and cfg.params.B is None:
-        cfg.params = cfg.params.with_qes_field()
+    params = PhysicalParams.from_mapping({key: values[key] for key in PARAM_KEYS})
+    cfg.params = params.for_mode(cfg.mode)
     return cfg
 
 
@@ -230,10 +229,14 @@ def _term_diff(derived, published) -> list[dict]:
 
 def cmd_polys(cfg: RunConfig) -> dict:
     j = cfg.level()
-    params = cfg.params
-    params.require_qes()
-    rec_d, _ = derived_recurrence(params, j, _select_gauge(cfg, j), cfg.mode, cfg.convention)
-    fam_d = polynomial_family(rec_d)
+    cfg.params.require_qes()
+    rec = derived_recurrence(cfg.params, j, _select_gauge(cfg, j), cfg.mode, cfg.convention)
+    return _polys(cfg, polynomial_family(rec))
+
+
+def _polys(cfg: RunConfig, fam_d) -> dict:
+    """The ``polys`` report of the derived family ``fam_d``."""
+    j, params = fam_d.j, cfg.params
     fam_p = polynomial_family(published_recurrence(params, j, cfg.mode))
     if cfg.mode == "free":
         table = {n: p.monic() for n, p in tables.published_free_table(params).items()}
@@ -262,19 +265,19 @@ def cmd_polys(cfg: RunConfig) -> dict:
     }
 
 
-def _block(cfg: RunConfig, source: str = "derived"):
-    """(j, gauge, algebraic block) of the configured level."""
+def _block(cfg: RunConfig, source: str = "derived") -> QesSpectrum:
+    """The algebraic block of the configured level."""
     j = cfg.level()
     cfg.params.require_qes()
     gauge = _select_gauge(cfg, j) if source == "derived" else None
-    return j, gauge, spectrum(cfg.params, j, cfg.mode, source, gauge, cfg.digits, cfg.convention)
+    return spectrum(cfg.params, j, cfg.mode, source, gauge, cfg.digits, cfg.convention)
 
 
 def cmd_spectrum(cfg: RunConfig) -> dict:
-    j, _, spec = _block(cfg, cfg.source)
+    spec = _block(cfg, cfg.source)
     report = spectrum_json(spec, cfg.digits)
     if cfg.oracle:
-        report["match_report"] = _run_match(cfg, spec, j)
+        report["match_report"] = _run_match(cfg, spec)
     return report
 
 
@@ -290,12 +293,12 @@ def _oracle_grid(cfg: RunConfig, m: int, mode: str, default_count: int):
     return count, oracle_mod.suggest_grid(cfg.params, m, mode, count, n=cfg.oracle_n)
 
 
-def _run_match(cfg: RunConfig, spec: QesSpectrum, j: int) -> dict:
-    count, grid = _oracle_grid(cfg, j + 2, cfg.mode, j + 5)
-    osp = oracle_mod.refine(cfg.params, j + 2, cfg.mode, count, grid, cfg.convention)
+def _run_match(cfg: RunConfig, spec: QesSpectrum) -> dict:
+    count, grid = _oracle_grid(cfg, spec.m, cfg.mode, spec.j + 5)
+    osp = oracle_mod.refine(cfg.params, spec.m, cfg.mode, count, grid, cfg.convention)
     rep = oracle_mod.match_report(spec, osp, cfg.tol)
-    direct = ledger_shift_direct(cfg.params, j + 2, cfg.mode,
-                                 spec.gauge or canonical_gauge(cfg.params, j + 2, cfg.mode),
+    direct = ledger_shift_direct(cfg.params, spec.m, cfg.mode,
+                                 spec.gauge or canonical_gauge(cfg.params, spec.m, cfg.mode),
                                  cfg.convention)
     return {
         "tolerance": cfg.tol,
@@ -334,17 +337,17 @@ def cmd_wavefunction(cfg: RunConfig) -> dict:
     for r in rs:  # rounding: --r-from 1e300 --r-to 3 ends the window at 0.0
         if not _positive_finite(r):
             raise ConfigError(f"sample point r = {r!r} of the window is not finite and positive")
-    j, gauge, spec = _block(cfg)
+    spec = _block(cfg)
     if not 0 <= cfg.root_index < len(spec.roots_reduced):
         raise ConfigError(f"root index {cfg.root_index} out of range "
                           f"0..{len(spec.roots_reduced) - 1}")
-    root = spec.roots_reduced[cfg.root_index]
-    wf = wavefunction(cfg.params, j, root, cfg.mode, gauge, cfg.digits)
+    wf = wavefunction(spec, cfg.root_index)
     with mpmath.workdps(cfg.digits + 10):
         samples = [[repr(r), mpmath.nstr(wf(mpmath.mpf(r)), 17)] for r in rs]
-    return {"command": "wavefunction", "gauge": gauge_json(gauge),
+    return {"command": "wavefunction", "gauge": gauge_json(spec.gauge),
             "normalizability": wf.normalizability, "digits": cfg.digits,
-            "reduced_eigenvalue": enclosure_json(root, cfg.digits)["value"],
+            "reduced_eigenvalue":
+                enclosure_json(spec.roots_reduced[cfg.root_index], cfg.digits)["value"],
             "samples": samples}
 
 
@@ -357,12 +360,13 @@ def cmd_verify(args: argparse.Namespace) -> dict:
 
 
 def cmd_compare(cfg: RunConfig) -> dict:
-    j, _, spec = _block(cfg)
+    spec = _block(cfg)
+    j = spec.j
     report = {
         "command": "compare", "mode": cfg.mode, "j": j, "m": j + 2, "params": cfg.params.as_dict(),
-        "polys": cmd_polys(cfg),
+        "polys": _polys(cfg, spec.family),
         "spectrum": spectrum_json(spec, cfg.digits),
-        "match_report": _run_match(cfg, spec, j),
+        "match_report": _run_match(cfg, spec),
     }
     if cfg.mode == "free":
         report["module_hamiltonian"] = module_hamiltonian_json(crosspath_comparison(cfg.params, j))

@@ -23,7 +23,6 @@ from .opcalc import DiffOperator, LaurentPoly, Q
 
 __all__ = [
     "PhysicalParams",
-    "QuantumNumbers",
     "SpectralValue",
     "ConfigError",
     "DomainError",
@@ -121,30 +120,17 @@ class PhysicalParams:
         return PhysicalParams(self.M, self.c, self.hbar, self.omega, self.q,
                               self.e_charge, qes_field(self))
 
+    def for_mode(self, mode: str) -> "PhysicalParams":
+        """The parameters ``mode`` runs at: field mode pins an unset B to the
+        special field 2 M omega / e; anything else is returned unchanged."""
+        return self.with_qes_field() if mode == "field" and self.B is None else self
+
     def as_dict(self) -> dict[str, str]:
         d = {"M": str(self.M), "c": str(self.c), "hbar": str(self.hbar),
              "omega": str(self.omega), "q": str(self.q), "e": str(self.e_charge)}
         if self.B is not None:
             d["B"] = str(self.B)
         return d
-
-
-@dataclass(frozen=True)
-class QuantumNumbers:
-    """Angular index m and representation level j; the algebraic block needs m = j + 2."""
-
-    m: int
-    j: int
-
-    def __post_init__(self):
-        if self.j < 0:
-            raise DomainError("j must be a non-negative integer")
-        if self.m != self.j + 2:
-            raise DomainError(f"algebraic block requires m = j + 2 (got m={self.m}, j={self.j})")
-
-    @classmethod
-    def for_level(cls, j: int) -> "QuantumNumbers":
-        return cls(m=j + 2, j=j)
 
 
 @dataclass(frozen=True)
@@ -274,12 +260,10 @@ def radial_operator(params: PhysicalParams, m: int, mode: str,
     entry points reject it separately.
     """
     c2 = params.c**2
-    if mode == "field":
-        want = qes_field(params)
-        if params.B is None:
-            params = params.with_qes_field()
-        elif params.B != want:
-            raise ConfigError(f"field mode requires B = 2 M omega / e = {want}, got {params.B}")
+    params = params.for_mode(mode)
+    if mode == "field" and params.B != qes_field(params):
+        raise ConfigError(f"field mode requires B = 2 M omega / e = {qes_field(params)}, "
+                          f"got {params.B}")
     cf = potential_coefficients(params, m, mode, convention)
     mult = {e: c2 * v for e, v in cf.items()}
     mult[0] = mult.get(0, Q(0)) + c2 * coupling_constant(params, m)

@@ -263,10 +263,6 @@ class LaurentPoly:
     def const(cls, value) -> "LaurentPoly":
         return cls({0: value})
 
-    @classmethod
-    def from_poly(cls, p: QPoly) -> "LaurentPoly":
-        return cls({i: a for i, a in enumerate(p.c)})
-
     @property
     def min_exp(self) -> int:
         return min(self.d) if self.d else 0
@@ -325,12 +321,6 @@ class LaurentPoly:
     def derivative(self) -> "LaurentPoly":
         return LaurentPoly({e - 1: e * v for e, v in self.d.items() if e})
 
-    def __call__(self, r):
-        total = 0
-        for e, v in self.d.items():
-            total = total + v * r**e
-        return total
-
     def __repr__(self) -> str:
         if not self.d:
             return "LaurentPoly(0)"
@@ -383,9 +373,7 @@ class DiffOperator:
 
     @classmethod
     def multiplication(cls, coeff, var: str = "r") -> "DiffOperator":
-        if isinstance(coeff, QPoly):
-            coeff = LaurentPoly.from_poly(coeff)
-        elif not isinstance(coeff, LaurentPoly):
+        if not isinstance(coeff, LaurentPoly):
             coeff = LaurentPoly.const(coeff)
         return cls({0: coeff}, var)
 
@@ -427,9 +415,6 @@ class DiffOperator:
     def __rmul__(self, scalar) -> "DiffOperator":
         scalar = _as_fraction(scalar)
         return DiffOperator({k: scalar * c for k, c in self.terms.items()}, self.var)
-
-    def scaled(self, scalar) -> "DiffOperator":
-        return _as_fraction(scalar) * self
 
     def image_of_monomial(self, n: int) -> dict[int, Fraction]:
         """Exact image of x^n as {exponent: coefficient}."""
@@ -751,26 +736,16 @@ def change_variable_sqrt(a: DiffOperator, scale, new_var: str = "rho") -> DiffOp
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeriesBand:
-    """Three-term relation induced on power-series coefficients by a banded operator.
-
-    Row k of ``x F = A F`` reads ``alpha(k) f_{k+1} = (x - beta(k)) f_k - gamma(k) f_{k-1}``
-    with the coefficient functions stored as exact polynomials in k.
-    """
-
-    alpha: QPoly
-    beta: QPoly
-    gamma: QPoly
-    truncation_index: int | None
-
-
 _TRUNCATION_SCAN = 64
 
 
-def series_recurrence(a: DiffOperator) -> SeriesBand:
+def series_recurrence(a: DiffOperator) -> tuple[QPoly, QPoly, QPoly, int | None]:
     """Extract the three-term recurrence of ``x F = A F`` on power series.
 
+    Returns ``(alpha, beta, gamma, truncation_index)``, exact polynomials in
+    the row index k: row k reads
+    ``alpha(k) f_{k+1} = (x - beta(k)) f_k - gamma(k) f_{k-1}``, and the
+    series truncates at the first k < 64 where alpha vanishes (else None).
     Requires every term ``rho^e D^d`` of ``a`` to shift monomial degree by
     -1, 0 or +1 (e - d in that range); otherwise :class:`NotQesError` is
     raised naming the offending term.
@@ -806,4 +781,4 @@ def series_recurrence(a: DiffOperator) -> SeriesBand:
         if not alpha(Q(kk)):
             trunc = kk
             break
-    return SeriesBand(alpha, beta, gamma, trunc)
+    return alpha, beta, gamma, trunc

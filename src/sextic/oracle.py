@@ -49,6 +49,14 @@ has a rounding floor eps * ||T|| of 2e-8 to 5e-8."""
 _EPS = float(np.finfo(float).eps)
 _ORDER_WINDOW = (1.7, 2.3)
 _ROUNDING_FLOORS = 4  # a ladder step below this many floors is rounding-limited
+# ||T|| range where LAPACK dstebz is sound: its Sturm recurrence squares the
+# off-diagonals, which overflow past sqrt(float max) ~ 1.3e154 and, below
+# sqrt(float min) ~ 1.5e-154, are dropped as if the system split.  Inside
+# the range no square overflows, and a drop moves an eigenvalue by less
+# than eps * ||T||
+_STEBZ_NORMS = (1e-135, 1e135)
+_MARGIN, _V_MARGIN = 1.5, 4.0  # suggest_grid: turning-point and potential margins
+_SEGMENTS = 8  # renormalized segments of each shooting integration
 
 
 @dataclass(frozen=True)
@@ -131,6 +139,25 @@ def discretize(params: Optional[PhysicalParams], m: int, mode: str, grid: Grid,
     return diag, np.full(len(diag) - 1, -kin / h2)
 
 
+def _norm(diag: np.ndarray, off: np.ndarray) -> float:
+    """||T|| = max|diag| + 2 max|off|, which bounds the spectral radius."""
+    return (float(np.max(np.abs(diag), initial=0.0))
+            + 2.0 * float(np.max(np.abs(off), initial=0.0)))
+
+
+def _stebz(diag: np.ndarray, off: np.ndarray, select: str, select_range, tol: float):
+    """LAPACK ``dstebz`` through scipy, refused with :class:`DomainError` when
+    ||T|| leaves [1e-135, 1e135], where its answers go silently wrong."""
+    diag, off = np.asarray(diag, dtype=np.float64), np.asarray(off, dtype=np.float64)
+    norm = _norm(diag, off)
+    if not _STEBZ_NORMS[0] <= norm <= _STEBZ_NORMS[1]:
+        raise DomainError(f"the tridiagonal system has norm {norm:.3g}, outside "
+                          f"[{_STEBZ_NORMS[0]:g}, {_STEBZ_NORMS[1]:g}] where LAPACK dstebz "
+                          "is sound; rescale the parameters or r_max")
+    return eigh_tridiagonal(diag, off, eigvals_only=True, select=select,
+                            select_range=select_range, lapack_driver="stebz", tol=tol)
+
+
 def sturm_count(diag: np.ndarray, off: np.ndarray, sigma: float) -> int:
     """Number of eigenvalues of the tridiagonal system strictly below sigma.
 
@@ -140,11 +167,7 @@ def sturm_count(diag: np.ndarray, off: np.ndarray, sigma: float) -> int:
     within rounding of sigma may fall on either side.
     """
     below = float(np.nextafter(float(sigma), -np.inf))
-    found = eigh_tridiagonal(np.asarray(diag, dtype=np.float64),
-                             np.asarray(off, dtype=np.float64), eigvals_only=True,
-                             select="v", select_range=(-np.inf, below),
-                             lapack_driver="stebz", tol=np.finfo(float).max)
-    return len(found)
+    return len(_stebz(diag, off, "v", (-np.inf, below), np.finfo(float).max))
 
 
 def eigenvalues_bisection(diag: np.ndarray, off: np.ndarray, count: int) -> np.ndarray:
@@ -162,10 +185,7 @@ def eigenvalues_bisection(diag: np.ndarray, off: np.ndarray, count: int) -> np.n
         raise DomainError(f"asked for {count} eigenvalues of a {n}-dimensional system")
     if count == 0:
         return np.empty(0)
-    return eigh_tridiagonal(np.asarray(diag, dtype=np.float64),
-                            np.asarray(off, dtype=np.float64), eigvals_only=True,
-                            select="i", select_range=(0, count - 1),
-                            lapack_driver="stebz", tol=np.finfo(float).tiny)
+    return _stebz(diag, off, "i", (0, count - 1), np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -249,7 +269,7 @@ def refine(params: Optional[PhysicalParams], m: int, mode: str, count: int,
         levels.append(eigenvalues_bisection(diag, off, count))
     # eps * ||T|| of the finest level, ||T|| = max|diag| + 2 max|off|: bisection
     # is accurate to a small multiple of it (Demmel 1997, section 5.3)
-    floor = _EPS * (float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off))))
+    floor = _EPS * _norm(diag, off)
     v1, v2, v3 = levels
     # near the origin the solution goes as r^(m+1/2), which adds an h^(2m+1)
     # term to the error: the h^4 step needs it past h^4, so |m| >= 2 (the box
@@ -298,12 +318,12 @@ def refine(params: Optional[PhysicalParams], m: int, mode: str, count: int,
 # ---------------------------------------------------------------------------
 
 
-def _integrate(w, x, r0, r1, y0, segments=8):
+def _integrate(w, x, r0, r1, y0):
     """Integrate f'' = w(r, x) f over [r0, r1] with per-segment renormalization."""
     from scipy.integrate import solve_ivp
 
     y = np.array(y0, dtype=float)
-    rs = np.linspace(r0, r1, segments + 1)
+    rs = np.linspace(r0, r1, _SEGMENTS + 1)
     for a, b in zip(rs[:-1], rs[1:]):
         sol = solve_ivp(lambda r, yy: [yy[1], w(r, x) * yy[0]], (a, b), y,
                         method="DOP853", rtol=1e-11, atol=1e-14, dense_output=False)
@@ -420,27 +440,16 @@ def residual(wf: RadialWavefunction, params: PhysicalParams, m: int, mode: str,
         dpoly = {e - 1: e * c for e, c in poly.items() if e}
         d2poly = {e - 1: e * c for e, c in dpoly.items() if e}
 
-        def wprime(r):
-            return s / r - bg * r / h - aq * r**3 / h
-
-        def wsecond(r):
-            return -s / r**2 - bg / h - 3 * aq * r**2 / h
-
-        def prefactor(r):
-            return r**s * mpmath.exp(-bg * r**2 / (2 * h) - aq * r**4 / (4 * h))
-
-        def f(r):
-            return prefactor(r) * _power_sum(poly, r)
-
         def d2f(r):
-            qv = _power_sum(poly, r)
-            dq = _power_sum(dpoly, r)
-            d2q = _power_sum(d2poly, r)
-            wp = wprime(r)
-            return prefactor(r) * (d2q + 2 * wp * dq + (wsecond(r) + wp * wp) * qv)
+            # f = g q with g the gauge factor: f'' = g (q'' + 2 w' q' + (w'' + w'^2) q),
+            # w' = (log g)' = s/r - b r/h - a r^3/h
+            wp = s / r - bg * r / h - aq * r**3 / h
+            wpp = -s / r**2 - bg / h - 3 * aq * r**2 / h
+            return wf.prefactor(r) * (_power_sum(d2poly, r) + 2 * wp * _power_sum(dpoly, r)
+                                      + (wpp + wp * wp) * _power_sum(poly, r))
 
         xv = x if isinstance(x, mpmath.mpf) else _to_mpf(Q(x)) if isinstance(x, (int, Fraction)) else mpmath.mpf(x)
-        return ode_residual(f, d2f, partial(_power_sum, mult), _to_mpf(kin), xv, window, samples)
+        return ode_residual(wf, d2f, partial(_power_sum, mult), _to_mpf(kin), xv, window, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -518,15 +527,14 @@ def match_report(qes: QesSpectrum, oracle: OracleSpectrum, tol: float = 1e-4) ->
 
 
 def suggest_grid(params: Optional[PhysicalParams], m: int, mode: str, count: int,
-                 n: int = DEFAULT_N, margin: float = 1.5, v_margin: float = 4.0,
-                 convention: str = "consistent") -> Grid:
+                 n: int = DEFAULT_N, convention: str = "consistent") -> Grid:
     """Domain size from the turning point of the largest sought eigenvalue.
 
     A coarse solve on max(512, 2 * count) intervals estimates the top
-    eigenvalue; r_max is the classical turning point times ``margin``, grown
-    until the potential there exceeds the eigenvalue scale ``v_margin``
-    times over, and then until the wall moves the top eigenvalue by less
-    than the rounding floor of the ladder's finest level.  The sextic growth
+    eigenvalue; r_max is the classical turning point times 1.5, grown until
+    the potential there exceeds the eigenvalue scale 4 times over, and then
+    until the wall moves the top eigenvalue by less than the rounding floor
+    of the ladder's finest level.  The sextic growth
     keeps the domains modest.  ``count`` may be at most n - 1, the unknowns
     of the n-interval grid asked for.
     """
@@ -536,14 +544,14 @@ def suggest_grid(params: Optional[PhysicalParams], m: int, mode: str, count: int
     if mode == "box":
         return Grid(math.pi, n)
     try:
-        return Grid(_domain(params, m, mode, count, n, margin, v_margin, convention), n)
+        return Grid(_domain(params, m, mode, count, n, convention), n)
     except (OverflowError, FloatingPointError) as exc:
         raise DomainError(f"no confining domain: the float potential fails to rise above "
                           f"the sought eigenvalues ({exc})") from exc
 
 
 @np.errstate(over="raise", invalid="raise", divide="raise")
-def _domain(params, m, mode, count, n, margin, v_margin, convention) -> float:
+def _domain(params, m, mode, count, n, convention) -> float:
     """r_max of :func:`suggest_grid`; a potential that overflows or never rises above
     the sought eigenvalues (free mode at q = omega = 0) raises instead of warning."""
     kin, mult = _operator_floats(params, m, mode, convention)
@@ -572,8 +580,8 @@ def _domain(params, m, mode, count, n, margin, v_margin, convention) -> float:
                 else:
                     hi = mid
             r_turn = hi
-        r_new = margin * max(r_turn, 1e-2)
-        while u(r_new) < v_margin * scale:
+        r_new = _MARGIN * max(r_turn, 1e-2)
+        while u(r_new) < _V_MARGIN * scale:
             r_new *= 1.2
         if abs(r_new - r_max) / r_max < 0.05:
             r_max = r_new

@@ -44,7 +44,7 @@ from .opcalc import (DiffOperator, GaugeAnsatz, GaugeError, LaurentPoly,
                      monomial_matrix, series_recurrence)
 
 __all__ = [
-    "Sl2Realization", "sl2_generators", "algebraic_hamiltonian",
+    "QesError", "Sl2Realization", "sl2_generators", "algebraic_hamiltonian",
     "ThreeTermRecurrence", "published_recurrence", "derived_recurrence",
     "PolynomialFamily", "polynomial_family", "run_recurrence", "FamilyConstructionError",
     "RootEnclosure", "RootPropertyError", "critical_roots", "isolate_real_roots",
@@ -226,14 +226,13 @@ def canonical_gauge(params: PhysicalParams, m: int, mode: str) -> GaugeAnsatz:
 
 
 def derived_recurrence(params: PhysicalParams, j: int, gauge: GaugeAnsatz | None,
-                       mode: str, convention: str = "consistent",
-                       ) -> tuple[ThreeTermRecurrence, SpectralLedger]:
+                       mode: str, convention: str = "consistent") -> ThreeTermRecurrence:
     """Mechanical pipeline: radial operator -> gauge -> rho variable -> recurrence.
 
     The only place the pipeline runs.  Returns the recurrence in the reduced
-    (constant-free) eigenvalue, carrying the reduced operator, together with
-    the ledger mapping it back to eps^2.  Gauge failures and band violations
-    propagate as GaugeError / NotQesError.
+    (constant-free) eigenvalue, carrying the reduced operator and the ledger
+    mapping it back to eps^2.  Gauge failures and band violations propagate
+    as GaugeError / NotQesError.
     """
     params.require_qes()
     if j < 0 or int(j) != j:
@@ -245,10 +244,9 @@ def derived_recurrence(params: PhysicalParams, j: int, gauge: GaugeAnsatz | None
     radial = radial_operator(params, m, mode, convention)
     conjugated, ledger = gauge_conjugate(radial, gauge, params.hbar)
     reduced = change_variable_sqrt(conjugated, 2 * params.c * params.hbar)
-    band = series_recurrence(reduced)
-    rec = ThreeTermRecurrence(j, band.alpha, band.beta, band.gamma, band.truncation_index,
-                              "derived", mode, "reduced", ledger, reduced)
-    return rec, ledger
+    alpha, beta, gamma, trunc = series_recurrence(reduced)
+    return ThreeTermRecurrence(j, alpha, beta, gamma, trunc, "derived", mode, "reduced",
+                               ledger, reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +256,7 @@ def derived_recurrence(params: PhysicalParams, j: int, gauge: GaugeAnsatz | None
 
 @dataclass(frozen=True)
 class PolynomialFamily:
-    """Energy polynomials P_0..P_{j+1} generated by a three-term recurrence.
+    """Monic energy polynomials P_0..P_{j+1} generated by a three-term recurrence.
 
     P_0 = 1 and deg P_k = k.  The last entry is the critical polynomial whose
     roots form the algebraic block.  When the recurrence's own row j is
@@ -269,9 +267,6 @@ class PolynomialFamily:
 
     j: int
     polys: tuple[QPoly, ...]
-    normalization: str
-    source: str
-    mode: str
     variable: str
     ledger: SpectralLedger
     degenerate_rows: tuple[int, ...] = ()
@@ -281,40 +276,30 @@ class PolynomialFamily:
         return self.polys[self.j + 1]
 
     def in_physical_variable(self) -> "PolynomialFamily":
-        """Rewrite every polynomial against the physical eps^2."""
+        """Rewrite every polynomial against the physical eps^2, monic."""
         if self.variable == "physical":
             return self
         led = self.ledger
-        polys = tuple(p.compose_linear(1 / led.scale, -led.shift / led.scale)
+        polys = tuple(p.compose_linear(1 / led.scale, -led.shift / led.scale).monic()
                       for p in self.polys)
-        if self.normalization == "monic":
-            polys = tuple(p.monic() for p in polys)
-        return PolynomialFamily(self.j, polys, self.normalization, self.source,
-                                self.mode, "physical", SpectralLedger(),
+        return PolynomialFamily(self.j, polys, "physical", SpectralLedger(),
                                 self.degenerate_rows)
 
 
-def polynomial_family(rec: ThreeTermRecurrence,
-                      normalization: str = "monic") -> PolynomialFamily:
-    """Run the recurrence symbolically in x, exactly.
+def polynomial_family(rec: ThreeTermRecurrence) -> PolynomialFamily:
+    """Run the recurrence symbolically in x, exactly, and make every P_k monic.
 
-    normalization "monic" rescales every P_k to leading coefficient 1;
-    "as-generated" keeps the raw recurrence scaling.  A vanishing alpha_k for
+    The unscaled P_k are :func:`run_recurrence`'s.  A vanishing alpha_k for
     k < j stops construction (error carries the row); a vanishing alpha_j is
     the published free-mode degeneracy and is handled by the constraint-row
     convention.
     """
-    if normalization not in ("monic", "as-generated"):
-        raise QesError(f"unknown normalization {normalization!r}")
     polys = run_recurrence(rec, QPoly.x(), rec.j + 1)
     for k, p in enumerate(polys):
         if p.degree != k:
             raise FamilyConstructionError(f"degree of P_{k} is {p.degree}", row=k)
-    if normalization == "monic":
-        polys = [p.monic() for p in polys]
-    return PolynomialFamily(rec.j, tuple(polys), normalization, rec.source,
-                            rec.mode, rec.variable, rec.ledger,
-                            rec.degenerate_rows())
+    return PolynomialFamily(rec.j, tuple(p.monic() for p in polys), rec.variable,
+                            rec.ledger, rec.degenerate_rows())
 
 
 def run_recurrence(rec: ThreeTermRecurrence, x, rows: int) -> list:
@@ -523,22 +508,29 @@ def critical_roots(family: PolynomialFamily, digits: int = 50) -> list[RootEnclo
 
 @dataclass(frozen=True)
 class QesSpectrum:
-    """The algebraic block at level j: roots, energies, expansion coefficients."""
+    """The algebraic block at level j: roots, energies, expansion coefficients.
 
-    j: int
-    m: int
-    mode: str
-    source: str
+    ``recurrence`` and ``family`` are the records the block was built from;
+    the critical polynomial, its variable and the ledger are read from them.
+    """
+
     params: PhysicalParams
-    critical: QPoly
-    variable: str
+    recurrence: ThreeTermRecurrence
+    family: PolynomialFamily
     roots_reduced: tuple[RootEnclosure, ...]
     roots_physical: tuple[RootEnclosure, ...]
     energies: tuple[SpectralValue, ...]
     coefficients: tuple[tuple[str, ...], ...]
-    ledger: SpectralLedger
     gauge: Optional[GaugeAnsatz]
     digits: int
+
+    j = property(lambda self: self.recurrence.j)
+    m = property(lambda self: self.recurrence.j + 2)
+    mode = property(lambda self: self.recurrence.mode)
+    source = property(lambda self: self.recurrence.source)
+    ledger = property(lambda self: self.recurrence.ledger)
+    critical = property(lambda self: self.family.critical)
+    variable = property(lambda self: self.family.variable)
 
 
 def spectrum(params: PhysicalParams, j: int, mode: str, source: str = "derived",
@@ -547,18 +539,16 @@ def spectrum(params: PhysicalParams, j: int, mode: str, source: str = "derived",
     """Assemble the algebraic block: isolate roots, map through the ledger,
     attach energy pairs (or subcritical flags) and series coefficients."""
     params.require_qes()
-    m = j + 2
-    if mode == "field" and params.B is None:
-        params = params.with_qes_field()
+    params = params.for_mode(mode)
     if source == "derived":
-        rec, _ = derived_recurrence(params, j, gauge, mode, convention)
-        gauge = gauge if gauge is not None else canonical_gauge(params, m, mode)
+        gauge = gauge if gauge is not None else canonical_gauge(params, j + 2, mode)
+        rec = derived_recurrence(params, j, gauge, mode, convention)
     elif source == "published":
         rec = published_recurrence(params, j, mode)
         gauge = None
     else:
         raise QesError(f"unknown source {source!r}")
-    fam = polynomial_family(rec, "monic")
+    fam = polynomial_family(rec)
     roots = critical_roots(fam, digits)
     physical = tuple(r.shifted(rec.ledger) for r in roots)
     energies = tuple(energy_from_epsilon2(params, r.midpoint, digits) for r in physical)
@@ -570,9 +560,8 @@ def spectrum(params: PhysicalParams, j: int, mode: str, source: str = "derived",
             # free-mode degeneracy at row j never blocks them
             cs = run_recurrence(rec, r.mpf(digits), j)
             coeff_rows.append(tuple(mpmath.nstr(c, digits, strip_zeros=False) for c in cs))
-    return QesSpectrum(j, m, mode, source, params, fam.critical, fam.variable,
-                       tuple(roots), physical, energies, tuple(coeff_rows),
-                       rec.ledger, gauge, digits)
+    return QesSpectrum(params, rec, fam, tuple(roots), physical, energies,
+                       tuple(coeff_rows), gauge, digits)
 
 
 @dataclass(frozen=True)
@@ -602,42 +591,39 @@ class RadialWavefunction:
                 out[2 * k] = ck / _to_mpf(s2**k)
         return out
 
+    def prefactor(self, r):
+        """The gauge factor r^s exp(-b r^2/2h - a r^4/4h) at an mpf r."""
+        g = self.gauge
+        h = _to_mpf(self.hbar)
+        return r ** _to_mpf(g.power) * mpmath.exp(
+            -_to_mpf(g.gaussian) * r**2 / (2 * h) - _to_mpf(g.quartic) * r**4 / (4 * h))
+
     def __call__(self, r):
         """Evaluate at r > 0 with mpmath (use inside mpmath.workdps)."""
         r = mpmath.mpf(r) if not isinstance(r, mpmath.mpf) else r
-        g = self.gauge
-        h = _to_mpf(self.hbar)
-        pref = r ** _to_mpf(g.power) * mpmath.exp(
-            -_to_mpf(g.gaussian) * r**2 / (2 * h) - _to_mpf(g.quartic) * r**4 / (4 * h))
         poly = mpmath.mpf(0)
         for e, ce in sorted(self.polynomial_in_r().items()):
             term = ce if isinstance(ce, mpmath.mpf) else _to_mpf(ce)
             poly += term * r**e
-        return pref * poly
+        return self.prefactor(r) * poly
 
 
-def wavefunction(params: PhysicalParams, j: int, root, mode: str,
-                 gauge: GaugeAnsatz | None = None, digits: int = 50) -> RadialWavefunction:
-    """Reconstruct the closed-form eigenfunction at one reduced-variable root.
+def wavefunction(spec: QesSpectrum, index: int) -> RadialWavefunction:
+    """The closed-form eigenfunction of a derived block at its root ``index``.
 
-    ``root`` is a RootEnclosure (or exact Fraction) in the derived
-    recurrence's reduced eigenvalue.
+    The series coefficients come from the block's own recurrence, at the
+    block's digits (exactly, as Fractions, at a rational root).  A published
+    block has no gauge, hence no closed form: :class:`QesError`.
     """
-    params.require_qes()
-    m = j + 2
-    if mode == "field" and params.B is None:
-        params = params.with_qes_field()
-    if gauge is None:
-        gauge = canonical_gauge(params, m, mode)
-    rec, _ = derived_recurrence(params, j, gauge, mode)
-    if isinstance(root, RootEnclosure):
-        xval = root.midpoint if root.exact else root.mpf(digits)
-    else:
-        xval = root if isinstance(root, Fraction) else Q(root)
-    with mpmath.workdps(digits + 10):
-        coeffs = run_recurrence(rec, xval, j)
-    return RadialWavefunction(gauge, 2 * params.c * params.hbar, tuple(coeffs),
-                              m, params.hbar, gauge.normalizability)
+    if spec.gauge is None:
+        raise QesError(f"a {spec.source} block has no gauge and so no closed-form eigenfunction")
+    root = spec.roots_reduced[index]
+    with mpmath.workdps(spec.digits + 10):
+        xval = root.midpoint if root.exact else root.mpf(spec.digits)
+        coeffs = run_recurrence(spec.recurrence, xval, spec.j)
+    p = spec.params
+    return RadialWavefunction(spec.gauge, 2 * p.c * p.hbar, tuple(coeffs), spec.m, p.hbar,
+                              spec.gauge.normalizability)
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +635,6 @@ def wavefunction(params: PhysicalParams, j: int, root, mode: str,
 class GaugeCandidate:
     gauge: GaugeAnsatz
     recurrence: Optional[ThreeTermRecurrence]
-    ledger: Optional[SpectralLedger]
     diagnostics: dict
     error: Optional[str] = None
 
@@ -675,8 +660,7 @@ def gauge_search(params: PhysicalParams, j: int, mode: str,
     """
     params.require_qes()
     m = j + 2
-    if mode == "field" and params.B is None:
-        params = params.with_qes_field()
+    params = params.for_mode(mode)
     published_op = tables.published_reduced_operator(params, m, mode)
     published_const = published_op.coeff(0).constant_term
     published_swept = published_op - DiffOperator.multiplication(published_const, "rho")
@@ -687,10 +671,10 @@ def gauge_search(params: PhysicalParams, j: int, mode: str,
             for a in (params.q, -params.q):
                 g = GaugeAnsatz(s, b, a)
                 try:
-                    rec, ledger = derived_recurrence(params, j, g, mode, convention)
+                    rec = derived_recurrence(params, j, g, mode, convention)
                 except (GaugeError, NotQesError) as exc:
                     if include_failures:
-                        results.append(GaugeCandidate(g, None, None,
+                        results.append(GaugeCandidate(g, None,
                                                       {"normalizability": g.normalizability},
                                                       error=str(exc)))
                     continue
@@ -698,12 +682,12 @@ def gauge_search(params: PhysicalParams, j: int, mode: str,
                     "normalizability": g.normalizability,
                     "reproduces_published_ode": rec.operator == published_swept,
                     "published_constant": published_const,
-                    "ledger_shift": ledger.shift,
-                    "constant_consistent": published_const == ledger.shift,
+                    "ledger_shift": rec.ledger.shift,
+                    "constant_consistent": published_const == rec.ledger.shift,
                     "truncation_index": rec.truncation_index,
                     "truncates": rec.truncation_index is not None,
                 }
-                results.append(GaugeCandidate(g, rec, ledger, diagnostics))
+                results.append(GaugeCandidate(g, rec, diagnostics))
     viable = [c for c in results if c.viable]
     if not viable:
         raise NotQesError("no gauge candidate yields a banded operator")
@@ -726,15 +710,13 @@ def ledger_shift_direct(params: PhysicalParams, m: int, mode: str,
     """
     from .model import potential_coefficients
     c2 = params.c**2
-    if mode == "field" and params.B is None:
-        params = params.with_qes_field()
-    v_const = potential_coefficients(params, m, mode, convention).get(0, Q(0))
+    v_const = potential_coefficients(params.for_mode(mode), m, mode, convention).get(0, Q(0))
     radial_const = c2 * (v_const + coupling_constant(params, m))
     gauge_const = c2 * params.hbar * gauge.gaussian * (1 + 2 * gauge.power)
     return radial_const + gauge_const
 
 
-def crosspath_comparison(params: PhysicalParams, j: int, digits: int = 0) -> dict:
+def crosspath_comparison(params: PhysicalParams, j: int) -> dict:
     """Relate the module Hamiltonian's spectrum to the derived free-mode block.
 
     The published combination realizes, on the module 1..rho^j, the reduced
@@ -752,8 +734,7 @@ def crosspath_comparison(params: PhysicalParams, j: int, digits: int = 0) -> dic
     ham = algebraic_hamiltonian(flipped, j)
     cp = charpoly(monomial_matrix(ham, j))
 
-    rec, _ = derived_recurrence(params, j, None, "free")
-    fam = polynomial_family(rec, "monic").in_physical_variable()
+    fam = polynomial_family(derived_recurrence(params, j, None, "free")).in_physical_variable()
     offset_published = 2 * params.M * params.c**2 * params.hbar * params.omega
     offset_implied = offset_published * m
     match_implied = cp.compose_linear(1, offset_implied) == fam.critical

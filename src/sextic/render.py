@@ -126,7 +126,7 @@ def gauge_candidate_json(index: int, cand) -> dict[str, Any]:
                        "beta_k": poly_text(rec.beta, var="k"),
                        "gamma_k": poly_text(rec.gamma, var="k"),
                        "truncation_index": rec.truncation_index},
-        "ledger": ledger_json(cand.ledger),
+        "ledger": ledger_json(rec.ledger),
         "reproduces_published_ode": cand.diagnostics["reproduces_published_ode"],
         "published_constant": frac_str(cand.diagnostics["published_constant"]),
         "constant_consistent": cand.diagnostics["constant_consistent"],

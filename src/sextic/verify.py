@@ -20,8 +20,8 @@ from .model import PhysicalParams
 from .opcalc import Q, QPoly, commutator, monomial_matrix
 from .qes import (algebraic_hamiltonian, canonical_gauge, critical_roots,
                   crosspath_comparison, derived_recurrence, ledger_shift_direct,
-                  polynomial_family, sl2_generators, spectrum, wavefunction,
-                  _sturm_chain, _variations_at)
+                  polynomial_family, run_recurrence, sl2_generators, spectrum,
+                  wavefunction, _sturm_chain, _variations_at)
 
 __all__ = ["CheckResult", "run_checks", "CHECK_NAMES"]
 
@@ -82,8 +82,7 @@ def _free_table_comparison(params: PhysicalParams) -> dict[int, bool]:
     table = tables.published_free_table(params)
     out = {}
     for j in range(4):
-        rec, _ = derived_recurrence(params, j, None, "free")
-        fam = polynomial_family(rec).in_physical_variable()
+        fam = polynomial_family(derived_recurrence(params, j, None, "free")).in_physical_variable()
         out[j] = fam.critical == table[j + 1].monic()
     return out
 
@@ -116,8 +115,7 @@ def check_field_table(fault: Optional[str] = None) -> CheckResult:
     report = []
     for params in _params_grid():
         for j in range(9):
-            rec, _ = derived_recurrence(params, j, None, "field")
-            fam = polynomial_family(rec)
+            fam = polynomial_family(derived_recurrence(params, j, None, "field"))
             pub = tables.published_field_table(params, j + 1)
             same = fam.critical == pub
             if j <= 4 and not same:
@@ -141,13 +139,11 @@ def check_quotient_residual(fault: Optional[str] = None) -> CheckResult:
     x = QPoly.x()
     for p in (params, extra):
         for mode in ("free", "field"):
-            pp = p.with_qes_field() if mode == "field" else p
             for j in range(7):
-                rec, _ = derived_recurrence(pp, j, None, mode)
+                rec = derived_recurrence(p, j, None, mode)
                 # F = sum_k P_k(x) rho^k with the unscaled P_0..P_j
-                fam = polynomial_family(rec, "as-generated")
-                fs = fam.polys[:-1]
-                crit = fam.critical.monic()
+                *fs, crit = run_recurrence(rec, x, j + 1)
+                crit = crit.monic()
                 if fault == "quotient-sign":
                     crit = crit + 1
                 image = rec.operator.apply_coeffs(fs)
@@ -168,9 +164,8 @@ def check_wavefunction_residual(fault: Optional[str] = None) -> CheckResult:
     for mode in ("free", "field"):
         for j in range(4):
             spec = spectrum(params, j, mode)
-            for enc, ph in zip(spec.roots_reduced, spec.roots_physical):
-                wf = wavefunction(params, j, enc, mode)
-                res = oracle.residual(wf, params, j + 2, mode, ph.mpf(50))
+            for i, ph in enumerate(spec.roots_physical):
+                res = oracle.residual(wavefunction(spec, i), params, j + 2, mode, ph.mpf(50))
                 worst = max(worst, res)
                 if res >= 1e-10:
                     return CheckResult("wavefunction-residual", False,
@@ -187,8 +182,7 @@ def check_root_properties(fault: Optional[str] = None) -> CheckResult:
     params = PhysicalParams(M=1, omega=1, q=2)
     for mode in ("free", "field"):
         for j in range(9):
-            rec, _ = derived_recurrence(params, j, None, mode)
-            fam = polynomial_family(rec)
+            fam = polynomial_family(derived_recurrence(params, j, None, mode))
             digits = 50
             roots = critical_roots(fam, digits)
             if len(roots) != j + 1:
@@ -233,11 +227,10 @@ def check_ledger_consistency(fault: Optional[str] = None) -> CheckResult:
     """Pipeline ledger shift equals the closed-form derivation, exactly."""
     for params in _params_grid():
         for mode in ("free", "field"):
-            pp = params.with_qes_field() if mode == "field" else params
             for j in (0, 1, 3):
-                gauge = canonical_gauge(pp, j + 2, mode)
-                _, ledger = derived_recurrence(pp, j, gauge, mode)
-                direct = ledger_shift_direct(pp, j + 2, mode, gauge)
+                gauge = canonical_gauge(params, j + 2, mode)
+                ledger = derived_recurrence(params, j, gauge, mode).ledger
+                direct = ledger_shift_direct(params, j + 2, mode, gauge)
                 if fault == "ledger-sign":
                     direct = -direct
                 if ledger.shift != direct:

@@ -65,7 +65,7 @@ def test_criterion_3_free_table_reproduction():
     for params in _free_grid_params():
         table = {n: p.monic() for n, p in published_free_table(params).items()}
         for j in range(4):
-            rec, _ = derived_recurrence(params, j, None, "free")
+            rec = derived_recurrence(params, j, None, "free")
             crit = polynomial_family(rec).in_physical_variable().critical
             if j <= 2:
                 assert crit == table[j + 1], f"degree {j + 1} at {params.as_dict()}"
@@ -86,7 +86,7 @@ def test_criterion_4_field_table_reproduction():
     p9_linear = {}
     for params in grid:
         for j in range(9):
-            rec, _ = derived_recurrence(params, j, None, "field")
+            rec = derived_recurrence(params, j, None, "field")
             crit = polynomial_family(rec).critical
             pub = published_field_table(params, j + 1)
             if j <= 4:
@@ -128,8 +128,8 @@ def test_criterion_6_closed_form_residuals():
     for mode in ("free", "field"):
         for j in range(4):
             spec = spectrum(NAT, j, mode, digits=50)
-            for enc, ph in zip(spec.roots_reduced, spec.roots_physical):
-                wf = wavefunction(NAT, j, enc, mode, digits=50)
+            for i, ph in enumerate(spec.roots_physical):
+                wf = wavefunction(spec, i)
                 res = oracle_mod.residual(wf, NAT, j + 2, mode, ph.mpf(50),
                                           window=(0.5, 2.5))
                 worst = max(worst, res)
@@ -204,7 +204,7 @@ def test_criterion_9_root_properties():
     params = PhysicalParams(M=1, omega=1, q=2)
     for mode in ("free", "field"):
         for j in range(9):
-            rec, _ = derived_recurrence(params, j, None, mode)
+            rec = derived_recurrence(params, j, None, mode)
             fam = polynomial_family(rec)
             roots = critical_roots(fam, digits=50)
             assert len(roots) == j + 1  # Sturm count equals the degree
@@ -232,7 +232,7 @@ def test_criterion_10_performance():
     # exact pipeline at level 10, magnetic mode, 50-digit roots
     t0 = time.time()
     cands = gauge_search(NAT, 10, "field")
-    rec, _ = derived_recurrence(NAT, 10, None, "field")
+    rec = derived_recurrence(NAT, 10, None, "field")
     fam = polynomial_family(rec)
     roots = critical_roots(fam, digits=50)
     dt_exact = time.time() - t0
@@ -256,7 +256,7 @@ def test_criterion_10_performance():
 def test_field_j40_root_budget():
     # beside criterion 10: level 40, magnetic mode, 50-digit certified roots
     t0 = time.time()
-    rec, _ = derived_recurrence(NAT, 40, None, "field")
+    rec = derived_recurrence(NAT, 40, None, "field")
     roots = critical_roots(polynomial_family(rec), digits=50)
     dt = time.time() - t0
     assert len(roots) == 41

@@ -517,3 +517,85 @@ def test_each_command_registers_the_options_it_reads():
     for command, reads in _READS.items():
         assert registered(command) == {*reads, "--config"}, command
     assert registered("verify") == {"--fast", "--inject-fault"}
+
+
+# -- the pretty match lines of spectrum --oracle ---------------------------
+
+_FIELD_J1_BLOCK = (
+    "algebraic block, mode=field, j=1 (m=3), source=derived\n"
+    "ledger: physical = reduced + (-8)\n"
+    "  root 0: reduced -5.65685424949238019520675489683879231427868750150779  "
+    "physical -13.65685424949238019520675489683879231427868750150779  [subcritical: no real E]\n"
+    "  root 1: reduced 5.65685424949238019520675489683879231427868750150779  "
+    "physical -2.34314575050761980479324510316120768572131249849221  [subcritical: no real E]\n")
+
+
+@pytest.mark.parametrize("extra, lines", [
+    ([], ["  match root 0: UNMATCHED (nearest 10.682442023226919, rel gap 1.7822037072427555)",
+          "  match root 1: UNMATCHED (nearest 10.682442023226919, rel gap 5.5590173043707045)"]),
+    (["--oracle-n", "8192"],
+     ["  match root 0: UNMATCHED (nearest 10.682442006686085, rel gap 1.782203706031581, "
+      "oracle flags rounding-limited)",
+      "  match root 1: UNMATCHED (nearest 10.682442006686085, rel gap 5.5590172973114615, "
+      "oracle flags rounding-limited)"]),
+    (["--rmax", "1e6", "--oracle-n", "256", "--count", "4"],
+     ["  match root 0: UNMATCHED (nearest None, rel gap None)",
+      "  match root 1: UNMATCHED (nearest None, rel gap None)"]),
+], ids=["default", "flagged-record", "no-record"])
+def test_pretty_spectrum_match_lines(extra, lines):
+    code, out = run(["spectrum", "--mode", "field", "--j", "1", "--oracle", "--format", "pretty",
+                     *extra])
+    assert code == 0
+    assert out == _FIELD_J1_BLOCK + "".join(line + "\n" for line in lines)
+
+
+# -- LAPACK dstebz outside its range ---------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--mode", "free", "--j", "0", "--oracle-n", "128", "--hbar", "1e100"],
+    ["compare", "--mode", "field", "--j", "0", "--oracle-n", "128", "--c", "1e100"],
+    ["oracle", "--box", "--oracle-n", "128", "--rmax", "1e-100"],
+    ["oracle", "--box", "--oracle-n", "128", "--rmax", "1e100", "--count", "2"],
+], ids=["huge-hbar", "compare-huge-c", "tiny-box", "huge-box"])
+def test_a_system_outside_the_dstebz_range_exits_2(argv, capsys):
+    # the huge box exited 0 with 5.24e-195 +- 4.9e-195 for the exact 9.87e-200
+    code, out = run(argv)
+    assert code == 2 and out == ""
+    assert "dstebz" in capsys.readouterr().err
+
+
+# -- each command derives its block once -----------------------------------
+
+def _count_calls(monkeypatch, *names):
+    """Wrap each named pipeline function on the qes and cli modules with a call counter."""
+    from sextic import cli, qes
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(qes, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        for module in (qes, cli):
+            monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("argv, derivations, searches", [
+    (["compare", "--mode", "field", "--j", "3"], 1, 0),
+    (["compare", "--mode", "free", "--j", "3"], 2, 0),
+    (["compare", "--mode", "free", "--j", "3", "--gauge", "0"], 14, 1),
+    (["wavefunction", "--mode", "free", "--j", "1", "--samples", "3"], 1, 0),
+], ids=["compare-field", "compare-free", "compare-gauge-0", "wavefunction"])
+def test_each_command_derives_its_block_once(argv, derivations, searches, monkeypatch):
+    # crosspath_comparison derives the canonical free block once more; a gauge
+    # search derives each of its 12 candidates
+    counts = _count_calls(monkeypatch, "derived_recurrence", "gauge_search")
+    extra = ["--oracle-n", "128"] if argv[0] == "compare" else []
+    assert run(argv + extra)[0] == 0
+    assert counts == {"derived_recurrence": derivations, "gauge_search": searches}
+
+
+def test_the_wavefunction_check_derives_each_block_once(monkeypatch):
+    from sextic import verify
+    counts = _count_calls(monkeypatch, "derived_recurrence")
+    assert verify.check_wavefunction_residual().passed
+    assert counts == {"derived_recurrence": 8}  # 2 modes x j = 0..3

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from sextic.model import (ConfigError, DomainError, PhysicalParams,
-                          QuantumNumbers, coupling_constant, energy_from_epsilon2,
+                          coupling_constant, energy_from_epsilon2,
                           eta_squared, parse_rational, potential_coefficients,
                           potential_free, potential_magnetic, qes_field,
                           radial_operator)
@@ -153,7 +153,7 @@ def test_energy_relation_exact_or_bounded():
 
 
 # ---------------------------------------------------------------------------
-# Parameters, quantum numbers, parsing
+# Parameters and parsing
 # ---------------------------------------------------------------------------
 
 
@@ -176,12 +176,3 @@ def test_parse_rational():
     assert parse_rational("0.2") == Q(1, 5)
     assert parse_rational("3/4") == Q(3, 4)
     assert parse_rational(" 7 ") == 7
-
-
-def test_quantum_numbers():
-    qn = QuantumNumbers.for_level(3)
-    assert (qn.m, qn.j) == (5, 3)
-    with pytest.raises(DomainError):
-        QuantumNumbers(m=4, j=3)
-    with pytest.raises(DomainError):
-        QuantumNumbers(m=1, j=-1)

@@ -320,12 +320,12 @@ def test_change_variable_preserves_application():
 
 def test_series_recurrence_euler_band():
     k = QPoly.x()
-    band = series_recurrence(DiffOperator({2: LaurentPoly({1: 1})}, "rho"))
-    assert band.alpha == (k + 1) * k
-    assert band.beta == QPoly()
-    assert band.gamma == QPoly()
-    band_neg = series_recurrence(DiffOperator({2: LaurentPoly({1: -1})}, "rho"))
-    assert band_neg.alpha == -(k + 1) * k
+    alpha, beta, gamma, _ = series_recurrence(DiffOperator({2: LaurentPoly({1: 1})}, "rho"))
+    assert alpha == (k + 1) * k
+    assert beta == QPoly()
+    assert gamma == QPoly()
+    alpha_neg, _, _, _ = series_recurrence(DiffOperator({2: LaurentPoly({1: -1})}, "rho"))
+    assert alpha_neg == -(k + 1) * k
 
 
 def test_series_recurrence_band_violation():

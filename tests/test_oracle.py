@@ -119,6 +119,25 @@ def test_sturm_count_matches_dense_diagonalization():
         assert sturm_count(diag, off, sigma) == int(np.sum(ev < sigma))
 
 
+@pytest.mark.parametrize("s", [1e154, 1e-154, 1e136, 1e-136])
+def test_dstebz_out_of_range_raises(s):
+    # dstebz squares the off-diagonals: on tridiag(-s, 2s, -s) it returned 2s and
+    # a count of 500 (the truth: 3.9e-5 s and 333) once s passed 1e+-154
+    diag, off = np.full(500, 2 * s), np.full(499, -s)
+    with pytest.raises(DomainError, match="dstebz"):
+        eigenvalues_bisection(diag, off, 2)
+    with pytest.raises(DomainError, match="dstebz"):
+        sturm_count(diag, off, 3 * s)
+
+
+@pytest.mark.parametrize("s", [1e134, 1e-134, 1.0])
+def test_dstebz_inside_the_range_is_exact(s):
+    diag, off = np.full(500, 2 * s), np.full(499, -s)
+    lowest = 2 * s * (1 - math.cos(math.pi / 501))
+    assert eigenvalues_bisection(diag, off, 1)[0] == pytest.approx(lowest, rel=1e-9)
+    assert sturm_count(diag, off, 3 * s) == 333
+
+
 def test_bisection_against_lapack():
     rng = np.random.default_rng(12)
     diag = rng.normal(size=400)
@@ -370,7 +389,7 @@ def test_residual_negative_control():
 def test_residual_field_j0_block_root():
     p = natural()
     spec = spectrum(p, 0, "field")
-    wf = wavefunction(p, 0, spec.roots_reduced[0], "field")
+    wf = wavefunction(spec, 0)
     assert residual(wf, p, 2, "field", spec.roots_physical[0].midpoint) < 1e-10
 
 
@@ -379,8 +398,8 @@ def test_residual_every_block_root_j_le_2():
     for mode in ("free", "field"):
         for j in range(3):
             spec = spectrum(p, j, mode)
-            for enc, ph in zip(spec.roots_reduced, spec.roots_physical):
-                wf = wavefunction(p, j, enc, mode)
+            for i, ph in enumerate(spec.roots_physical):
+                wf = wavefunction(spec, i)
                 assert residual(wf, p, j + 2, mode, ph.mpf(50)) < 1e-10
 
 

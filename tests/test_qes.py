@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from sextic.model import PhysicalParams, eta_squared
 from sextic.opcalc import QPoly, commutator, monomial_matrix
-from sextic.qes import (FamilyConstructionError, RootPropertyError,
+from sextic.qes import (FamilyConstructionError, QesError, RootPropertyError,
                         algebraic_hamiltonian, canonical_gauge, critical_roots,
                         crosspath_comparison, derived_recurrence, gauge_search,
                         isolate_real_roots, ledger_shift_direct,
-                        polynomial_family, published_recurrence, sl2_generators,
-                        spectrum, wavefunction)
+                        polynomial_family, published_recurrence, run_recurrence,
+                        sl2_generators, spectrum, wavefunction)
 from sextic.tables import published_field_table, published_free_table
 
 
@@ -92,7 +92,7 @@ def test_derived_recurrence_matches_published_operator_forms():
     k = QPoly.x()
     for mode in ("free", "field"):
         for j in (0, 1, 3, 5):
-            rec, _ = derived_recurrence(p, j, None, mode)
+            rec = derived_recurrence(p, j, None, mode)
             u = eta_squared(p)
             assert rec.alpha == (k + 1) * (Q(j + 1) - k)
             assert rec.gamma == u * (Q(j + 1) - k)
@@ -148,7 +148,7 @@ def test_published_free_recurrence_reconciles_under_constraint_row():
 
 def test_family_basics():
     p = natural()
-    rec, _ = derived_recurrence(p, 4, None, "field")
+    rec = derived_recurrence(p, 4, None, "field")
     fam = polynomial_family(rec)
     assert fam.polys[0] == QPoly([1])
     for kk, poly in enumerate(fam.polys):
@@ -159,26 +159,26 @@ def test_family_basics():
 def test_family_field_table_entries():
     p = natural()
     u = eta_squared(p)
-    rec2, _ = derived_recurrence(p, 2, None, "field")
+    rec2 = derived_recurrence(p, 2, None, "field")
     assert polynomial_family(rec2).critical == QPoly([0, -10 * u, 0, 1])
-    rec4, _ = derived_recurrence(p, 4, None, "field")
+    rec4 = derived_recurrence(p, 4, None, "field")
     assert polynomial_family(rec4).critical == \
         QPoly([0, 712 * u**2, 0, -70 * u, 0, 1])
 
 
 def test_family_free_j1_expanded():
     p = natural()
-    rec, _ = derived_recurrence(p, 1, None, "free")
+    rec = derived_recurrence(p, 1, None, "free")
     fam = polynomial_family(rec).in_physical_variable()
     assert fam.critical == (QPoly([4, 1]) * QPoly([8, 1]) - 32).monic()
 
 
 def test_family_as_generated_keeps_scaling():
     p = natural()
-    rec, _ = derived_recurrence(p, 1, None, "field")
-    fam = polynomial_family(rec, "as-generated")
+    rec = derived_recurrence(p, 1, None, "field")
+    polys = run_recurrence(rec, QPoly.x(), rec.j + 1)
     # alpha_0 = j+1 = 2 divides the first step
-    assert fam.polys[1] == QPoly([0, Q(1, 2)])
+    assert polys[1] == QPoly([0, Q(1, 2)])
 
 
 def test_family_degenerate_interior_row_raises():
@@ -238,7 +238,7 @@ def test_roots_against_companion_matrix():
     # floating cross-check only; the certified path is the exact sign check
     p = natural(q=Q(7, 3), M=Q(1, 2), omega=Q(4, 5))
     for mode in ("free", "field"):
-        rec, _ = derived_recurrence(p, 5, None, mode)
+        rec = derived_recurrence(p, 5, None, mode)
         fam = polynomial_family(rec)
         enc = critical_roots(fam, digits=30)
         float_roots = sorted(np.roots([float(c) for c in reversed(fam.critical.c)]).real)
@@ -282,7 +282,7 @@ positive_rationals = st.fractions(min_value=Q(1, 8), max_value=8, max_denominato
        mode=st.sampled_from(["free", "field"]), j=st.integers(0, 12),
        digits=st.integers(15, 60))
 def test_critical_roots_certified_property(M, omega, q, mode, j, digits):
-    rec, _ = derived_recurrence(natural(M=M, omega=omega, q=q), j, None, mode)
+    rec = derived_recurrence(natural(M=M, omega=omega, q=q), j, None, mode)
     fam = polynomial_family(rec)
     roots = critical_roots(fam, digits)
     assert len(roots) == j + 1
@@ -382,7 +382,7 @@ def test_spectrum_coefficient_vectors():
 def test_wavefunction_field_j0_shape():
     p = natural()
     spec = spectrum(p, 0, "field")
-    wf = wavefunction(p, 0, spec.roots_reduced[0], "field")
+    wf = wavefunction(spec, 0)
     assert wf.gauge.power == Q(-3, 2)
     assert wf.gauge.quartic == -1
     assert wf.gauge.gaussian == 0
@@ -393,9 +393,24 @@ def test_wavefunction_field_j0_shape():
 def test_wavefunction_negative_q_decays():
     p = natural(q=-1)
     spec = spectrum(p, 0, "field")
-    wf = wavefunction(p, 0, spec.roots_reduced[0], "field")
+    wf = wavefunction(spec, 0)
     assert wf.gauge.quartic == 1
     assert wf.normalizability == "divergent-at-origin"
+
+
+def test_wavefunction_reads_the_block_coefficients():
+    spec = spectrum(natural(), 2, "free", digits=30)
+    for i, row in enumerate(spec.coefficients):
+        wf = wavefunction(spec, i)
+        assert wf.gauge == spec.gauge and wf.m == spec.m
+        with mpmath.workdps(40):
+            assert [mpmath.nstr(c, 30, strip_zeros=False) for c in wf.coefficients] == list(row)
+
+
+def test_wavefunction_of_a_published_block_raises():
+    spec = spectrum(natural(), 1, "free", source="published")
+    with pytest.raises(QesError, match="no gauge"):
+        wavefunction(spec, 0)
 
 
 def test_canonical_gauge_values():
@@ -446,11 +461,11 @@ def test_ledger_direct_agreement():
             pp = p.with_qes_field() if mode == "field" else p
             for j in (0, 2):
                 g = canonical_gauge(pp, j + 2, mode)
-                _, ledger = derived_recurrence(pp, j, g, mode)
+                ledger = derived_recurrence(pp, j, g, mode).ledger
                 assert ledger.shift == ledger_shift_direct(pp, j + 2, mode, g)
 
 
 def test_field_ledger_value():
     p = natural()
-    _, ledger = derived_recurrence(p, 0, None, "field")
+    ledger = derived_recurrence(p, 0, None, "field").ledger
     assert ledger.shift == -4  # 4 hbar M omega c^2 (1 - m) at m = 2
