@@ -191,12 +191,16 @@ def _build_config(args: argparse.Namespace, cmd: Command) -> RunConfig:
 
 
 def _select_gauge(cfg: RunConfig, j: int):
+    """The gauge ``--gauge`` selects and its derived recurrence: the canonical
+    gauge's, or the chosen gauge-search candidate's, which the search derived."""
     if cfg.gauge == "auto":
-        return canonical_gauge(cfg.params, j + 2, cfg.mode)
+        gauge = canonical_gauge(cfg.params, j + 2, cfg.mode)
+        return gauge, derived_recurrence(cfg.params, j, gauge, cfg.mode, cfg.convention)
     candidates = gauge_search(cfg.params, j, cfg.mode, convention=cfg.convention)
     if int(cfg.gauge) >= len(candidates):
         raise ConfigError(f"gauge index {cfg.gauge} out of range 0..{len(candidates) - 1}")
-    return candidates[int(cfg.gauge)].gauge
+    chosen = candidates[int(cfg.gauge)]
+    return chosen.gauge, chosen.recurrence
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +220,10 @@ def cmd_derive(cfg: RunConfig) -> dict:
         "candidates": [gauge_candidate_json(i, cand) for i, cand in enumerate(candidates)],
     }
     if cfg.mode == "free":
-        report["module_hamiltonian"] = module_hamiltonian_json(crosspath_comparison(cfg.params, j))
+        canonical = canonical_gauge(cfg.params, j + 2, "free")
+        rec = next((c.recurrence for c in candidates if c.gauge == canonical), None)
+        report["module_hamiltonian"] = module_hamiltonian_json(
+            crosspath_comparison(cfg.params, j, rec))
     return report
 
 
@@ -230,7 +237,7 @@ def _term_diff(derived, published) -> list[dict]:
 def cmd_polys(cfg: RunConfig) -> dict:
     j = cfg.level()
     cfg.params.require_qes()
-    rec = derived_recurrence(cfg.params, j, _select_gauge(cfg, j), cfg.mode, cfg.convention)
+    _, rec = _select_gauge(cfg, j)
     return _polys(cfg, polynomial_family(rec))
 
 
@@ -269,8 +276,8 @@ def _block(cfg: RunConfig, source: str = "derived") -> QesSpectrum:
     """The algebraic block of the configured level."""
     j = cfg.level()
     cfg.params.require_qes()
-    gauge = _select_gauge(cfg, j) if source == "derived" else None
-    return spectrum(cfg.params, j, cfg.mode, source, gauge, cfg.digits, cfg.convention)
+    gauge, rec = _select_gauge(cfg, j) if source == "derived" else (None, None)
+    return spectrum(cfg.params, j, cfg.mode, source, gauge, cfg.digits, cfg.convention, rec)
 
 
 def cmd_spectrum(cfg: RunConfig) -> dict:
@@ -369,7 +376,9 @@ def cmd_compare(cfg: RunConfig) -> dict:
         "match_report": _run_match(cfg, spec),
     }
     if cfg.mode == "free":
-        report["module_hamiltonian"] = module_hamiltonian_json(crosspath_comparison(cfg.params, j))
+        canonical = spec.gauge == canonical_gauge(cfg.params, j + 2, "free")
+        report["module_hamiltonian"] = module_hamiltonian_json(
+            crosspath_comparison(cfg.params, j, spec.recurrence if canonical else None))
     return report
 
 

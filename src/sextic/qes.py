@@ -18,10 +18,15 @@ Two recurrence sources are first class and never merged:
   all, so the comparison report can show where the published coefficients
   disagree with the published tables.
 
-Roots are approximated in high precision (Jacobi-matrix eigenvalues, or
-``mpmath.polyroots``), rounded to dyadic cells narrower than 10^-(digits+10)
-(default 50 digits) and certified by exact integer sign evaluation of the
-critical polynomial; no approximate value decides a sign.
+Roots are approximated, rounded to dyadic cells narrower than
+10^-(digits+10) (default 50 digits) and certified by exact integer sign
+evaluation of the critical polynomial; no approximate value decides a sign.
+The approximators, in order: LAPACK float eigenvalues of the symmetrized
+Jacobi matrix refined by exact integer Newton on the cell grid, then mpf
+Jacobi-matrix eigenvalues (``mpmath.eigsy``), then ``mpmath.polyroots``.  The
+exact Sturm count that names a failure (complex or multiple roots) runs
+before ``polyroots`` and after a failed ``eigsy`` attempt, never after a
+Newton miss.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import mpmath
+import numpy as np
 from mpmath.libmp import NoConvergence
 
 from . import tables
@@ -302,18 +308,22 @@ def polynomial_family(rec: ThreeTermRecurrence) -> PolynomialFamily:
                             rec.ledger, rec.degenerate_rows())
 
 
-def run_recurrence(rec: ThreeTermRecurrence, x, rows: int) -> list:
+def run_recurrence(rec: ThreeTermRecurrence, x, rows: int, band=None) -> list:
     """f_0 = 1, f_1, ..., f_rows of the recurrence, in the ring of ``x``.
 
     ``x`` is QPoly.x() for the energy polynomials, or a Fraction or mpf root
     for the series coefficients there (exact band coefficients enter mpf
-    runs as mpf).  A vanishing alpha_k stops the run, except in row j, whose
-    unscaled right-hand side is then the truncation constraint.
+    runs as mpf).  ``band`` is the rows' (alpha_k, beta_k, gamma_k) already
+    in that ring, for a caller that runs the recurrence at many roots.  A
+    vanishing alpha_k stops the run, except in row j, whose unscaled
+    right-hand side is then the truncation constraint.
     """
-    scalar = (lambda v: v) if isinstance(x, (QPoly, Fraction, int)) else _to_mpf
+    if band is None:
+        scalar = (lambda v: v) if isinstance(x, (QPoly, Fraction, int)) else _to_mpf
+        band = [tuple(scalar(v) for v in rec.coefficients_at(k)) for k in range(rows)]
     fs, prev = [x * 0 + 1], x * 0
     for k in range(rows):
-        ak, bk, gk = (scalar(v) for v in rec.coefficients_at(k))
+        ak, bk, gk = band[k]
         raw = (x - bk) * fs[-1] - gk * prev
         if ak == 0 and k < rec.j:
             raise FamilyConstructionError(
@@ -390,21 +400,73 @@ def _require_real_simple(p: QPoly) -> None:
             f"only {count} distinct real roots for degree {p.degree}", p, count=count)
 
 
-def _sign_at(coeffs: Sequence[int], num: int, k: int) -> int:
-    """Sign of p(num / 2^k) from p's integer coefficients (constant first), by
-    Horner on the integer 2^(k deg) p(num / 2^k): no gcd work."""
-    acc, scale = coeffs[-1], 1
+#: cap on the integer Newton steps per root; from a float seed (53 bits) a
+#: simple root needs about log2(k / 53) + 2
+_NEWTON_STEPS = 30
+
+
+def _horner(coeffs: Sequence[int], num: int, k: int) -> tuple[int, int]:
+    """(P, P') at ``num`` for the integer polynomial P(num) = 2^(k deg) p(num / 2^k),
+    from p's integer coefficients (constant first), by one integer Horner: no
+    gcd work.  P has the sign of p(num / 2^k); P' = dP/dnum."""
+    acc, dacc, shift = coeffs[-1], 0, 0
     for a in reversed(coeffs[:-1]):
-        scale <<= k
-        acc = acc * num + a * scale
-    return (acc > 0) - (acc < 0)
+        shift += k
+        dacc = dacc * num + acc
+        acc = acc * num + (a << shift)
+    return acc, dacc
+
+
+def _sign_at(coeffs: Sequence[int], num: int, k: int) -> int:
+    """Sign of p(num / 2^k)."""
+    v = _horner(coeffs, num, k)[0]
+    return (v > 0) - (v < 0)
+
+
+def _newton_centres(coeffs: Sequence[int], jacobi, k: int) -> Optional[list[int]]:
+    """Roots as ascending integer numerators over 2^k: LAPACK eigenvalues of
+    the float symmetrized Jacobi matrix (b_k, sqrt(c_k)), each refined by
+    Newton in exact integers on that grid (step round(P/P'), done once
+    |step| <= 1).  None when an entry overflows a float, a seed is not
+    finite, P' vanishes or a root does not converge in _NEWTON_STEPS."""
+    # scipy.linalg is loaded by the oracle anyway; importing it ahead of the
+    # rest of the package leaves the peak resident set about 0.8 MB higher
+    from scipy.linalg import LinAlgError, eigh_tridiagonal
+    diag, offsq = jacobi
+    try:
+        seeds = eigh_tridiagonal(np.array([float(b) for b in diag]),
+                                 np.array([math.sqrt(float(c)) for c in offsq]),
+                                 eigvals_only=True)
+    except (OverflowError, LinAlgError):
+        return None
+    if not np.isfinite(seeds).all():
+        return None
+    centres = []
+    for seed in seeds:
+        n, den = float(seed).as_integer_ratio()
+        num = (n << k) // den
+        for _ in range(_NEWTON_STEPS):
+            v, dv = _horner(coeffs, num, k)
+            if not dv:
+                return None
+            step = (2 * v + dv) // (2 * dv)  # floor(v / dv + 1/2) for either sign of dv
+            num -= step
+            if abs(step) <= 1:
+                break
+        else:
+            return None
+        centres.append(num)
+    return sorted(centres)
 
 
 def _centres(p: QPoly, jacobi, dps: int, k: int) -> list[int]:
     """Approximate roots of ``p`` at ``dps`` digits, rounded to ascending integer
-    numerators over 2^k: Jacobi-matrix eigenvalues when ``jacobi`` = (b, c) is
+    numerators over 2^k: the fallback after :func:`_newton_centres`.  mpf
+    Jacobi-matrix eigenvalues (``mpmath.eigsy``) when ``jacobi`` = (b, c) is
     given, else real parts from ``mpmath.polyroots`` (iterated at twice the
-    precision, since its stopping test is absolute; empty if it diverges)."""
+    precision, since its stopping test is absolute; empty if it diverges).
+    The exact Sturm count runs after the first of these calls fails to
+    certify (before it, without ``jacobi``), never after a Newton miss."""
     with mpmath.workdps(dps):
         if jacobi is not None:
             diag, offsq = jacobi
@@ -453,14 +515,17 @@ def _certified(p: QPoly, coeffs: Sequence[int], centres: list[int],
 def isolate_real_roots(p: QPoly, digits: int = 50, jacobi=None) -> list[RootEnclosure]:
     """Disjoint enclosures of all real roots of ``p``, each of width < 10^-(digits+10).
 
-    Approximate (Jacobi-matrix eigenvalues from ``jacobi`` = (b_k, c_k), else
-    ``mpmath.polyroots``), round to dyadic cells and certify each by exact
-    integer signs: deg p disjoint sign changes prove every root real, simple
-    and isolated.  A failed certification retries at doubled precision.  An
-    exact Sturm count, run first without ``jacobi`` (polyroots costs far more)
-    and otherwise after the first failure, raises :class:`RootPropertyError`
-    when the distinct real roots fall short of the degree (complex or
-    multiple roots: a reportable property violation).
+    Approximate, round to dyadic cells and certify each by exact integer
+    signs: deg p disjoint sign changes prove every root real, simple and
+    isolated.  Approximators, in order: with ``jacobi`` = (b_k, c_k), LAPACK
+    float seeds refined by exact integer Newton on the cell grid; if those
+    cells fail, or without ``jacobi``, mpf Jacobi-matrix eigenvalues
+    (``mpmath.eigsy``), else ``mpmath.polyroots``, retried at doubled
+    precision on each failed certification.  An exact Sturm count raises
+    :class:`RootPropertyError` when the distinct real roots fall short of the
+    degree (complex or multiple roots: a reportable property violation); it
+    runs first without ``jacobi`` (polyroots costs far more) and otherwise
+    only after the first mpf attempt has failed too, never after a Newton miss.
     """
     if p.degree < 1:
         raise QesError("constant polynomial has no roots to isolate")
@@ -473,6 +538,12 @@ def isolate_real_roots(p: QPoly, digits: int = 50, jacobi=None) -> list[RootEncl
     dps0 = dps = digits + 20 + max(0, bits) * 3 // 10 + 1
     if jacobi is None:
         _require_real_simple(p)
+    else:
+        k = (10 ** (digits + 10)).bit_length() + 1
+        centres = _newton_centres(coeffs, jacobi, k)
+        cells = None if centres is None else _certified(p, coeffs, centres, k)
+        if cells is not None:
+            return cells
     for attempt in range(6):
         # the cell narrows with the precision so that close roots separate
         k = (10 ** (digits + 10 + (dps - dps0) // 2)).bit_length() + 1
@@ -535,14 +606,19 @@ class QesSpectrum:
 
 def spectrum(params: PhysicalParams, j: int, mode: str, source: str = "derived",
              gauge: GaugeAnsatz | None = None, digits: int = 50,
-             convention: str = "consistent") -> QesSpectrum:
+             convention: str = "consistent",
+             recurrence: ThreeTermRecurrence | None = None) -> QesSpectrum:
     """Assemble the algebraic block: isolate roots, map through the ledger,
-    attach energy pairs (or subcritical flags) and series coefficients."""
+    attach energy pairs (or subcritical flags) and series coefficients.
+
+    ``recurrence`` is the derived recurrence of ``gauge`` when the caller
+    already holds it (a gauge-search candidate's); it is not derived again.
+    """
     params.require_qes()
     params = params.for_mode(mode)
     if source == "derived":
         gauge = gauge if gauge is not None else canonical_gauge(params, j + 2, mode)
-        rec = derived_recurrence(params, j, gauge, mode, convention)
+        rec = recurrence or derived_recurrence(params, j, gauge, mode, convention)
     elif source == "published":
         rec = published_recurrence(params, j, mode)
         gauge = None
@@ -555,10 +631,11 @@ def spectrum(params: PhysicalParams, j: int, mode: str, source: str = "derived",
 
     coeff_rows = []
     with mpmath.workdps(digits + 10):
+        # coefficient vectors only need rows 0..j-1, so the published
+        # free-mode degeneracy at row j never blocks them
+        band = [tuple(_to_mpf(v) for v in rec.coefficients_at(k)) for k in range(j)]
         for r in roots:
-            # coefficient vectors only need rows 0..j-1, so the published
-            # free-mode degeneracy at row j never blocks them
-            cs = run_recurrence(rec, r.mpf(digits), j)
+            cs = run_recurrence(rec, r.mpf(digits), j, band)
             coeff_rows.append(tuple(mpmath.nstr(c, digits, strip_zeros=False) for c in cs))
     return QesSpectrum(params, rec, fam, tuple(roots), physical, energies,
                        tuple(coeff_rows), gauge, digits)
@@ -716,7 +793,8 @@ def ledger_shift_direct(params: PhysicalParams, m: int, mode: str,
     return radial_const + gauge_const
 
 
-def crosspath_comparison(params: PhysicalParams, j: int) -> dict:
+def crosspath_comparison(params: PhysicalParams, j: int,
+                         recurrence: ThreeTermRecurrence | None = None) -> dict:
     """Relate the module Hamiltonian's spectrum to the derived free-mode block.
 
     The published combination realizes, on the module 1..rho^j, the reduced
@@ -724,7 +802,9 @@ def crosspath_comparison(params: PhysicalParams, j: int) -> dict:
     offset 2 M c^2 hbar omega is inconsistent with the published tables; the
     offset the operator actually realizes is m-dependent, 2 m M c^2 hbar
     omega.  Both identifications are evaluated here and the implied one is
-    checked exactly against the derived critical polynomial.
+    checked exactly against the derived critical polynomial.  ``recurrence``
+    is that block's (canonical gauge, free mode) when the caller already
+    holds it; otherwise it is derived here.
     """
     from .opcalc import charpoly
     params.require_qes()
@@ -734,7 +814,8 @@ def crosspath_comparison(params: PhysicalParams, j: int) -> dict:
     ham = algebraic_hamiltonian(flipped, j)
     cp = charpoly(monomial_matrix(ham, j))
 
-    fam = polynomial_family(derived_recurrence(params, j, None, "free")).in_physical_variable()
+    rec = recurrence or derived_recurrence(params, j, None, "free")
+    fam = polynomial_family(rec).in_physical_variable()
     offset_published = 2 * params.M * params.c**2 * params.hbar * params.omega
     offset_implied = offset_published * m
     match_implied = cp.compose_linear(1, offset_implied) == fam.critical

@@ -14,6 +14,8 @@ import math
 import time
 from fractions import Fraction as Q
 
+import pytest
+
 from sextic import oracle as oracle_mod
 from sextic.cli import main
 from sextic.model import PhysicalParams
@@ -260,5 +262,17 @@ def test_field_j40_root_budget():
     roots = critical_roots(polynomial_family(rec), digits=50)
     dt = time.time() - t0
     assert len(roots) == 41
+    assert all(r.width < Q(1, 10**50) for r in roots)
+    assert dt < 1.0
+
+
+@pytest.mark.parametrize("mode", ["field", "free"])
+def test_j60_root_budget(mode):
+    # level 60: the integer Newton roots certify in well under a second
+    fam = polynomial_family(derived_recurrence(NAT, 60, None, mode))
+    t0 = time.time()
+    roots = critical_roots(fam, digits=50)
+    dt = time.time() - t0
+    assert len(roots) == 61
     assert all(r.width < Q(1, 10**50) for r in roots)
     assert dt < 1.0

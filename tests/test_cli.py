@@ -581,13 +581,17 @@ def _count_calls(monkeypatch, *names):
 
 @pytest.mark.parametrize("argv, derivations, searches", [
     (["compare", "--mode", "field", "--j", "3"], 1, 0),
-    (["compare", "--mode", "free", "--j", "3"], 2, 0),
-    (["compare", "--mode", "free", "--j", "3", "--gauge", "0"], 14, 1),
+    (["compare", "--mode", "free", "--j", "3"], 1, 0),
+    (["compare", "--mode", "free", "--j", "3", "--gauge", "0"], 13, 1),
     (["wavefunction", "--mode", "free", "--j", "1", "--samples", "3"], 1, 0),
-], ids=["compare-field", "compare-free", "compare-gauge-0", "wavefunction"])
+    (["derive", "--mode", "free", "--j", "3"], 12, 1),
+    (["polys", "--mode", "free", "--j", "3", "--gauge", "1"], 12, 1),
+], ids=["compare-field", "compare-free", "compare-gauge-0", "wavefunction", "derive-free",
+        "polys-gauge-1"])
 def test_each_command_derives_its_block_once(argv, derivations, searches, monkeypatch):
-    # crosspath_comparison derives the canonical free block once more; a gauge
-    # search derives each of its 12 candidates
+    # a gauge search derives each of its 12 candidates, and spectrum reuses the
+    # chosen one; crosspath_comparison reuses the block when it is the canonical
+    # free block and derives that block itself otherwise (candidate 0 is not it)
     counts = _count_calls(monkeypatch, "derived_recurrence", "gauge_search")
     extra = ["--oracle-n", "128"] if argv[0] == "compare" else []
     assert run(argv + extra)[0] == 0

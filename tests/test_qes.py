@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sextic import qes
 from sextic.model import PhysicalParams, eta_squared
 from sextic.opcalc import QPoly, commutator, monomial_matrix
 from sextic.qes import (FamilyConstructionError, QesError, RootPropertyError,
@@ -16,6 +17,7 @@ from sextic.qes import (FamilyConstructionError, QesError, RootPropertyError,
                         isolate_real_roots, ledger_shift_direct,
                         polynomial_family, published_recurrence, run_recurrence,
                         sl2_generators, spectrum, wavefunction)
+from sextic.render import decimal_fixed
 from sextic.tables import published_field_table, published_free_table
 
 
@@ -274,6 +276,10 @@ def _with_roots(*roots):
     return out
 
 
+def _no_fallback(*args):
+    raise AssertionError("the integer Newton cells were not certified")
+
+
 positive_rationals = st.fractions(min_value=Q(1, 8), max_value=8, max_denominator=9)
 
 
@@ -284,7 +290,12 @@ positive_rationals = st.fractions(min_value=Q(1, 8), max_value=8, max_denominato
 def test_critical_roots_certified_property(M, omega, q, mode, j, digits):
     rec = derived_recurrence(natural(M=M, omega=omega, q=q), j, None, mode)
     fam = polynomial_family(rec)
-    roots = critical_roots(fam, digits)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qes, "_centres", _no_fallback)
+        roots = critical_roots(fam, digits)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qes, "_newton_centres", lambda *args: None)
+        assert critical_roots(fam, digits) == roots  # the eigsy cells
     assert len(roots) == j + 1
     assert all(a.hi < b.lo for a, b in zip(roots, roots[1:]))
     for e in roots:
@@ -318,6 +329,102 @@ def test_isolate_root_property_counts():
         with pytest.raises(RootPropertyError) as err:
             isolate_real_roots(p)
         assert err.value.count == count
+
+
+def test_a_newton_miss_falls_back_to_the_same_cells(monkeypatch):
+    # coinciding seeds converge to one root, so the Newton cells overlap; the
+    # mpf eigsy cells replace them, and no Sturm count runs
+    fams = [polynomial_family(derived_recurrence(natural(q=Q(7, 3), M=Q(1, 2)), 9, None, mode))
+            for mode in ("free", "field")]
+    want = [critical_roots(fam) for fam in fams]
+    fallbacks, centres = [], qes._centres
+
+    def counted(*args):
+        fallbacks.append(args)
+        return centres(*args)
+
+    def no_sturm(p):
+        raise AssertionError("Sturm count after a Newton miss")
+
+    monkeypatch.setattr("scipy.linalg.eigh_tridiagonal", lambda d, e, **kw: np.full(len(d), d[-1]))
+    monkeypatch.setattr(qes, "_centres", counted)
+    monkeypatch.setattr(qes, "_require_real_simple", no_sturm)
+    assert [critical_roots(fam) for fam in fams] == want
+    assert len(fallbacks) == 2
+
+
+@pytest.mark.parametrize("coeffs, jacobi, seeds", [
+    ([-1, 0, 1], ([Q(10**400), Q(0)], [Q(1)]), None),        # float overflow
+    ([-1, 0, 1], ([Q(0), Q(0)], [Q(1)]), [0.0, 0.0]),        # p' = 0 at the seed
+    ([-1, 0, 1], ([Q(0), Q(0)], [Q(1)]), [-1.0, np.inf]),    # non-finite seed
+    ([1, 0, 1], ([Q(0), Q(0)], [Q(1)]), [-0.5, 0.5]),       # x^2 + 1: no convergence
+], ids=["overflow", "zero-derivative", "non-finite", "no-convergence"])
+def test_newton_centres_report_a_miss(coeffs, jacobi, seeds, monkeypatch):
+    if seeds is not None:
+        monkeypatch.setattr("scipy.linalg.eigh_tridiagonal", lambda d, e, **kw: np.array(seeds))
+    assert qes._newton_centres(coeffs, jacobi, 200) is None
+
+
+def test_newton_centres_round_to_the_nearest_grid_point():
+    # x^2 - 2 on the grid n / 2^200: both centres are the nearest numerators
+    with mpmath.workdps(80):
+        want = int(mpmath.nint(mpmath.ldexp(mpmath.sqrt(2), 200)))
+    assert qes._newton_centres([-2, 0, 1], ([Q(0), Q(0)], [Q(2)]), 200) == [-want, want]
+
+
+# The 50-digit reduced roots of the `block` benchmark's top levels, as the
+# mpf eigsy approximator certified them: any approximator must reproduce them.
+GOLDEN_ROOTS = {
+    ("field", 20, (Q(5, 2), Q(7, 3), Q(8, 3))): [
+        "-471.05249163295050780905455642251022396143351808868872",
+        "-412.53291001621912205655371775661878821706271214074813",
+        "-356.16809084865693559776977615462729564427373457280029",
+        "-302.05752136452268246056454686237590816762828864769538",
+        "-250.31963366262641992812828090241003906348777284641151",
+        "-201.09917897386140843604185056516685209269599874398750",
+        "-154.57891312357931631711896230980482543960276208819171",
+        "-110.99796791016979270800630705967645761460592548252701",
+        "-70.67066481738374789158334148463443911667636065355236",
+        "-33.88257495545159838861918735563440082338293382813622",
+        "0.00000000000000000000000000000000000000000000000000",
+        "33.88257495545159838861918735563440082338293382813622",
+        "70.67066481738374789158334148463443911667636065355236",
+        "110.99796791016979270800630705967645761460592548252701",
+        "154.57891312357931631711896230980482543960276208819171",
+        "201.09917897386140843604185056516685209269599874398750",
+        "250.31963366262641992812828090241003906348777284641151",
+        "302.05752136452268246056454686237590816762828864769538",
+        "356.16809084865693559776977615462729564427373457280029",
+        "412.53291001621912205655371775661878821706271214074813",
+        "471.05249163295050780905455642251022396143351808868872",
+    ],
+    ("free", 16, (Q(7, 2), Q(5, 3), Q(9, 2))): [
+        "-334.37448534166772834335978848400223472356727100810294",
+        "-252.54170248269062453365624688885749190689190137608872",
+        "-173.66459254528986163118722376626382770397826137087643",
+        "-97.87010265180550202056489410762577677360246240425180",
+        "-25.30318842586124434547935624529159376978360255319964",
+        "43.86823148372825316410324926329831303998495533291053",
+        "109.44606793392853905130000791139539678789581740571475",
+        "171.19111336351355838634526502741335430061663656517081",
+        "228.80576425123172879743310319700522386413048510431215",
+        "281.90769945652596362282715017680111364618902275762908",
+        "330.01982820684683967123784998619604388053718023664641",
+        "372.93090267472202372358459756250352023544902836031419",
+        "412.63364254286003018494431154554056881910403013300078",
+        "453.94040074421056428586191381714071083376170796034808",
+        "499.55772124415914150042141360356000125093371078099840",
+        "549.49412143681194825252733459174398265046138805168666",
+        "603.29191144210970356699464614277602890209286935712103",
+    ],
+}
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_ROOTS), ids=["field-j20", "free-j16"])
+def test_golden_block_roots(key):
+    mode, j, (M, omega, q) = key
+    spec = spectrum(natural(M=M, omega=omega, q=q), j, mode)
+    assert [decimal_fixed(e.midpoint, 50) for e in spec.roots_reduced] == GOLDEN_ROOTS[key]
 
 
 def test_isolate_exact_roots_mirror():
