@@ -40,7 +40,7 @@ print("=" * 72)
 table = published_free_table(params)
 for j in range(4):
     rec = derived_recurrence(params, j, None, "free")
-    crit = polynomial_family(rec).in_physical_variable().critical
+    crit = polynomial_family(rec).critical_physical
     verdict = "MATCH" if crit == table[j + 1].monic() else "MISMATCH"
     print(f"P_{j + 1}: {poly_text(crit):<62} {verdict}")
 

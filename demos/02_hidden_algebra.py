@@ -47,7 +47,7 @@ print("=" * 72)
 for j in range(4):
     rep = crosspath_comparison(params, j)
     rec = derived_recurrence(params, j, None, "free")
-    crit = polynomial_family(rec).in_physical_variable().critical
+    crit = polynomial_family(rec).critical_physical
     print(f"j={j}:")
     print(f"  char poly (q flipped):    {poly_text(rep['charpoly_module'], var='L')}")
     print(f"  derived critical (eps^2): {poly_text(crit)}")

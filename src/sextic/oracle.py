@@ -2,9 +2,11 @@
 
 Finite differences on a uniform Dirichlet grid (first node at h, which
 handles the centrifugal singularity without special-casing), Sturm-count
-bisection (LAPACK dstebz) for the lowest eigenvalues, Richardson
-extrapolation over h, h/2, h/4 with the observed convergence order recorded
-per eigenvalue, and an independent shooting method (outward regular branch,
+bisection (LAPACK dstebz) for the lowest eigenvalues down to a small
+fraction of the rounding floor eps * ||T||, Richardson extrapolation over
+h, h/2, h/4 with the observed convergence order recorded per eigenvalue
+(the finest level bisected inside brackets that the two coarser levels
+predict), and an independent shooting method (outward regular branch,
 inward decaying tail, eigenvalue at the Wronskian root) for
 cross-validation.
 
@@ -49,6 +51,9 @@ has a rounding floor eps * ||T|| of 2e-8 to 5e-8."""
 _EPS = float(np.finfo(float).eps)
 _ORDER_WINDOW = (1.7, 2.3)
 _ROUNDING_FLOORS = 4  # a ladder step below this many floors is rounding-limited
+# dstebz bisects down to eps * ||T|| / 64: each level is then within 1/128 of its
+# floor, and the reported (64 v_h4 - 20 v_h2 + v_h)/45 within 0.012 of the finest's
+_FLOOR_FRACTION = 64
 # ||T|| range where LAPACK dstebz is sound: its Sturm recurrence squares the
 # off-diagonals, which overflow past sqrt(float max) ~ 1.3e154 and, below
 # sqrt(float min) ~ 1.5e-154, are dropped as if the system split.  Inside
@@ -145,11 +150,11 @@ def _norm(diag: np.ndarray, off: np.ndarray) -> float:
             + 2.0 * float(np.max(np.abs(off), initial=0.0)))
 
 
-def _stebz(diag: np.ndarray, off: np.ndarray, select: str, select_range, tol: float):
-    """LAPACK ``dstebz`` through scipy, refused with :class:`DomainError` when
-    ||T|| leaves [1e-135, 1e135], where its answers go silently wrong."""
-    diag, off = np.asarray(diag, dtype=np.float64), np.asarray(off, dtype=np.float64)
-    norm = _norm(diag, off)
+def _stebz(diag: np.ndarray, off: np.ndarray, norm: float, select: str, select_range,
+           tol: float):
+    """LAPACK ``dstebz`` through scipy on the system of norm ``norm`` = ||T||,
+    refused with :class:`DomainError` when ||T|| leaves [1e-135, 1e135], where
+    its answers go silently wrong."""
     if not _STEBZ_NORMS[0] <= norm <= _STEBZ_NORMS[1]:
         raise DomainError(f"the tridiagonal system has norm {norm:.3g}, outside "
                           f"[{_STEBZ_NORMS[0]:g}, {_STEBZ_NORMS[1]:g}] where LAPACK dstebz "
@@ -158,26 +163,46 @@ def _stebz(diag: np.ndarray, off: np.ndarray, select: str, select_range, tol: fl
                             select_range=select_range, lapack_driver="stebz", tol=tol)
 
 
-def sturm_count(diag: np.ndarray, off: np.ndarray, sigma: float) -> int:
+def _count_up_to(diag: np.ndarray, off: np.ndarray, norm: float, x: float) -> int:
+    """Number of eigenvalues <= x: ``dstebz`` over the value range (-inf, x], with the
+    largest float as tolerance, which asks for no bisection."""
+    return len(_stebz(diag, off, norm, "v", (-np.inf, x), np.finfo(float).max))
+
+
+def sturm_count(diag: np.ndarray, off: np.ndarray, sigma: float,
+                norm: Optional[float] = None) -> int:
     """Number of eigenvalues of the tridiagonal system strictly below sigma.
 
     LAPACK ``dstebz`` over the value range (-inf, sigma'], sigma' the float
-    just below sigma: the count comes from the Sturm sequence of T - sigma',
-    and the largest float as tolerance asks for no bisection.  An eigenvalue
-    within rounding of sigma may fall on either side.
+    just below sigma: the count comes from the Sturm sequence of T - sigma'.
+    An eigenvalue within rounding of sigma may fall on either side.
+    ``norm`` is ||T|| when the caller already holds it.
     """
-    below = float(np.nextafter(float(sigma), -np.inf))
-    return len(_stebz(diag, off, "v", (-np.inf, below), np.finfo(float).max))
+    diag, off = np.asarray(diag, dtype=np.float64), np.asarray(off, dtype=np.float64)
+    norm = _norm(diag, off) if norm is None else norm
+    return _count_up_to(diag, off, norm, float(np.nextafter(float(sigma), -np.inf)))
 
 
-def eigenvalues_bisection(diag: np.ndarray, off: np.ndarray, count: int) -> np.ndarray:
+def eigenvalues_bisection(diag: np.ndarray, off: np.ndarray, count: int,
+                          near: Optional[tuple] = None,
+                          norm: Optional[float] = None) -> np.ndarray:
     """Lowest ``count`` eigenvalues by Sturm-count bisection.
 
-    LAPACK ``dstebz`` (Barth-Martin-Wilkinson bisection with a pivot guard),
-    run to the smallest positive absolute tolerance.  The accuracy is
-    LAPACK's: each eigenvalue is bisected down to the rounding floor of
-    about eps * ||T||.
+    LAPACK ``dstebz`` (Barth-Martin-Wilkinson bisection with a pivot guard)
+    with the absolute tolerance eps * ||T|| / 64.  Bisection's own error is
+    of the order of the rounding floor eps * ||T|| (Demmel 1997, section
+    5.3), so halving further adds nothing; this stops 6 halvings past it.
+
+    ``near = (centres, half_widths)`` asks for a bracket per eigenvalue,
+    each solved by ``dstebz`` over the value range (c - w, c + w].  Their
+    values are returned only when the brackets are disjoint, each holds
+    exactly one eigenvalue and the Sturm count at the top bracket's upper
+    end is ``count``: then they are the lowest ``count`` eigenvalues.
+    Otherwise, and without ``near``, one ``dstebz`` call by index from the
+    Gershgorin bounds finds them.  ``norm`` is ||T|| when the caller already
+    holds it.
     """
+    diag, off = np.asarray(diag, dtype=np.float64), np.asarray(off, dtype=np.float64)
     n = len(diag)
     if count < 0:
         raise DomainError(f"eigenvalue count must be non-negative, got {count}")
@@ -185,7 +210,35 @@ def eigenvalues_bisection(diag: np.ndarray, off: np.ndarray, count: int) -> np.n
         raise DomainError(f"asked for {count} eigenvalues of a {n}-dimensional system")
     if count == 0:
         return np.empty(0)
-    return _stebz(diag, off, "i", (0, count - 1), np.finfo(float).tiny)
+    norm = _norm(diag, off) if norm is None else norm
+    tol = _EPS * norm / _FLOOR_FRACTION
+    if near is not None:
+        found = _bracketed(diag, off, norm, count, tol, *near)
+        if found is not None:
+            return found
+    return _stebz(diag, off, norm, "i", (0, count - 1), tol)
+
+
+def _bracketed(diag, off, norm, count, tol, centres, half_widths) -> Optional[np.ndarray]:
+    """The bracket solves of :func:`eigenvalues_bisection`, or None when they are not
+    certified to be the lowest ``count`` eigenvalues."""
+    centres, half_widths = np.asarray(centres, dtype=float), np.asarray(half_widths, dtype=float)
+    lo, hi = centres - half_widths, centres + half_widths
+    if (len(lo) != count or not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi))
+            or np.any(lo[1:] < hi[:-1])):
+        return None
+    # the number of eigenvalues <= x grows with x: with count of them <= hi[-1] and
+    # one in each disjoint (lo, hi], none lies below lo[0] or between two brackets
+    if _count_up_to(diag, off, norm, float(hi[-1])) != count:
+        return None
+    found = []
+    for a, b in zip(lo, hi):
+        # dstebz returns a view of a buffer of n values: keep the one value only
+        values = _stebz(diag, off, norm, "v", (a, b), tol)
+        if len(values) != 1:
+            return None
+        found.append(values[0])
+    return np.array(found)
 
 
 @dataclass(frozen=True)
@@ -242,6 +295,12 @@ def refine(params: Optional[PhysicalParams], m: int, mode: str, count: int,
     so the value stays R1 with the bar |d23|/3 + eps * ||T||.
     ``observed_order`` is the raw ladder's log2(d12/d23).
 
+    The finest level is bisected inside brackets that the coarser two
+    predict: the h^2 term puts v_h4 near v_h2 - d12/4, and each bracket
+    reaches |d12| + 4 eps * ||T|| either side of that.
+    :func:`eigenvalues_bisection` certifies that the brackets hold the lowest
+    ``count`` eigenvalues, and otherwise solves from the Gershgorin bounds.
+
     Flags, each with its cause:
 
     * ``non-monotone``: d12 and d23 differ in sign or d23 = 0.  The value is
@@ -263,14 +322,16 @@ def refine(params: Optional[PhysicalParams], m: int, mode: str, count: int,
     and ``rounding-limited`` ones whose order also leaves the window, are
     excluded from match verdicts (:attr:`EigenvalueRecord.trusted`).
     """
-    levels = []
-    for factor in (1, 2, 4):
-        diag, off = discretize(params, m, mode, grid.refined(factor), convention)
-        levels.append(eigenvalues_bisection(diag, off, count))
+    v1, v2 = (eigenvalues_bisection(*discretize(params, m, mode, grid.refined(factor),
+                                                convention), count) for factor in (1, 2))
+    diag, off = discretize(params, m, mode, grid.refined(4), convention)
     # eps * ||T|| of the finest level, ||T|| = max|diag| + 2 max|off|: bisection
     # is accurate to a small multiple of it (Demmel 1997, section 5.3)
-    floor = _EPS * _norm(diag, off)
-    v1, v2, v3 = levels
+    norm = _norm(diag, off)
+    floor = _EPS * norm
+    v3 = eigenvalues_bisection(diag, off, count, (v2 - (v1 - v2) / 4.0,
+                                                  np.abs(v1 - v2) + _ROUNDING_FLOORS * floor),
+                               norm)
     # near the origin the solution goes as r^(m+1/2), which adds an h^(2m+1)
     # term to the error: the h^4 step needs it past h^4, so |m| >= 2 (the box
     # solution is smooth)
@@ -282,7 +343,7 @@ def refine(params: Optional[PhysicalParams], m: int, mode: str, count: int,
         if i + 1 < count:
             upper = v3[i + 1] - v3[i] < abs(d12)
         else:  # one Sturm count: does the next eigenvalue lie within |d12|?
-            upper = sturm_count(diag, off, v3[i] + abs(d12)) > count
+            upper = sturm_count(diag, off, v3[i] + abs(d12), norm) > count
         lower = i > 0 and v3[i] - v3[i - 1] < abs(d12)
         flags = []
         order = None

@@ -281,15 +281,23 @@ class PolynomialFamily:
     def critical(self) -> QPoly:
         return self.polys[self.j + 1]
 
+    @property
+    def critical_physical(self) -> QPoly:
+        """The critical polynomial against the physical eps^2, monic."""
+        return self._physical(self.critical)
+
     def in_physical_variable(self) -> "PolynomialFamily":
         """Rewrite every polynomial against the physical eps^2, monic."""
         if self.variable == "physical":
             return self
+        return PolynomialFamily(self.j, tuple(map(self._physical, self.polys)), "physical",
+                                SpectralLedger(), self.degenerate_rows)
+
+    def _physical(self, p: QPoly) -> QPoly:
+        if self.variable == "physical":
+            return p
         led = self.ledger
-        polys = tuple(p.compose_linear(1 / led.scale, -led.shift / led.scale).monic()
-                      for p in self.polys)
-        return PolynomialFamily(self.j, polys, "physical", SpectralLedger(),
-                                self.degenerate_rows)
+        return p.compose_linear(1 / led.scale, -led.shift / led.scale).monic()
 
 
 def polynomial_family(rec: ThreeTermRecurrence) -> PolynomialFamily:
@@ -815,14 +823,14 @@ def crosspath_comparison(params: PhysicalParams, j: int,
     cp = charpoly(monomial_matrix(ham, j))
 
     rec = recurrence or derived_recurrence(params, j, None, "free")
-    fam = polynomial_family(rec).in_physical_variable()
+    critical = polynomial_family(rec).critical_physical
     offset_published = 2 * params.M * params.c**2 * params.hbar * params.omega
     offset_implied = offset_published * m
-    match_implied = cp.compose_linear(1, offset_implied) == fam.critical
-    match_published = cp.compose_linear(1, offset_published) == fam.critical
+    match_implied = cp.compose_linear(1, offset_implied) == critical
+    match_published = cp.compose_linear(1, offset_published) == critical
     return {
         "charpoly_module": cp,
-        "critical_physical": fam.critical,
+        "critical_physical": critical,
         "offset_published": offset_published,
         "offset_implied": offset_implied,
         "q_flipped_in_module_hamiltonian": True,

@@ -82,8 +82,8 @@ def _free_table_comparison(params: PhysicalParams) -> dict[int, bool]:
     table = tables.published_free_table(params)
     out = {}
     for j in range(4):
-        fam = polynomial_family(derived_recurrence(params, j, None, "free")).in_physical_variable()
-        out[j] = fam.critical == table[j + 1].monic()
+        fam = polynomial_family(derived_recurrence(params, j, None, "free"))
+        out[j] = fam.critical_physical == table[j + 1].monic()
     return out
 
 

@@ -531,12 +531,12 @@ _FIELD_J1_BLOCK = (
 
 
 @pytest.mark.parametrize("extra, lines", [
-    ([], ["  match root 0: UNMATCHED (nearest 10.682442023226919, rel gap 1.7822037072427555)",
-          "  match root 1: UNMATCHED (nearest 10.682442023226919, rel gap 5.5590173043707045)"]),
+    ([], ["  match root 0: UNMATCHED (nearest 10.68244202322487, rel gap 1.7822037072426054)",
+          "  match root 1: UNMATCHED (nearest 10.68244202322487, rel gap 5.55901730436983)"]),
     (["--oracle-n", "8192"],
-     ["  match root 0: UNMATCHED (nearest 10.682442006686085, rel gap 1.782203706031581, "
+     ["  match root 0: UNMATCHED (nearest 10.68244200591192, rel gap 1.782203705974894, "
       "oracle flags rounding-limited)",
-      "  match root 1: UNMATCHED (nearest 10.682442006686085, rel gap 5.5590172973114615, "
+      "  match root 1: UNMATCHED (nearest 10.68244200591192, rel gap 5.559017296981066, "
       "oracle flags rounding-limited)"]),
     (["--rmax", "1e6", "--oracle-n", "256", "--count", "4"],
      ["  match root 0: UNMATCHED (nearest None, rel gap None)",

@@ -199,6 +199,140 @@ def test_domain_size_stability():
 
 
 # ---------------------------------------------------------------------------
+# Bisection tolerance and finest-level brackets
+# ---------------------------------------------------------------------------
+
+
+def _floor(diag, off):
+    return np.finfo(float).eps * (np.max(np.abs(diag)) + 2 * np.max(np.abs(off)))
+
+
+def _direct(diag, off, count):
+    """The lowest eigenvalues by dstebz from the Gershgorin bounds, bisected to the end."""
+    return scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                         select_range=(0, count - 1), lapack_driver="stebz",
+                                         tol=np.finfo(float).tiny)
+
+
+def _record_stebz_calls(monkeypatch):
+    """[(system size, select)] of every dstebz call the oracle makes."""
+    from sextic import oracle
+    calls = []
+
+    def recorded(diag, off, **kwargs):
+        calls.append((len(diag), kwargs["select"]))
+        return scipy.linalg.eigh_tridiagonal(diag, off, **kwargs)
+
+    monkeypatch.setattr(oracle, "eigh_tridiagonal", recorded)
+    return calls
+
+
+def _assert_levels_match_direct(spec):
+    for factor, level in ((1, "value_h"), (2, "value_h2"), (4, "value_h4")):
+        diag, off = discretize(spec.params, spec.m, spec.mode, spec.grid.refined(factor))
+        got = np.array([getattr(rec, level) for rec in spec.records])
+        assert np.all(np.abs(got - _direct(diag, off, len(got))) <= _floor(diag, off) / 4), level
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.sampled_from([256, 512, 1024]), m=st.integers(2, 5), count=st.integers(1, 5),
+       mode=st.sampled_from(["free", "field"]),
+       M=st.fractions(min_value=Q(1, 3), max_value=9, max_denominator=3),
+       omega=st.fractions(min_value=Q(1, 3), max_value=9, max_denominator=3),
+       q=st.fractions(min_value=Q(1, 3), max_value=9, max_denominator=3),
+       c=st.sampled_from([Q(1, 2), 1, 2]), hbar=st.sampled_from([Q(1, 2), 1, 2]),
+       length=st.floats(0.5, 8.0))
+def test_every_level_agrees_with_a_direct_solve(n, m, count, mode, M, omega, q, c, hbar, length):
+    # the tolerance eps * ||T|| / 64 and the brackets of the finest level move no
+    # level by more than a quarter of its own rounding floor
+    p = PhysicalParams(M=M, omega=omega, q=q, c=c, hbar=hbar)
+    _assert_levels_match_direct(refine(p, m, mode, count, suggest_grid(p, m, mode, count, n=n)))
+    _assert_levels_match_direct(refine(None, 0, "box", count, Grid(length, n)))
+    p0 = PhysicalParams(M=M, omega=omega, q=0, c=c, hbar=hbar)
+    _assert_levels_match_direct(refine(p0, m, "free", count,
+                                       suggest_grid(p0, m, "free", count, n=n)))
+
+
+@pytest.mark.parametrize("params, m, mode, count", [
+    (None, 0, "box", 3),
+    (natural(q=0), 2, "free", 4),
+    (natural(), 3, "field", 4),
+    (PhysicalParams(M=Q(8, 3), omega=2, q=4, hbar=Q(1, 2)), 2, "free", 5),
+], ids=["box", "oscillator", "field", "sextic"])
+def test_the_finest_level_is_bisected_inside_its_brackets(monkeypatch, params, m, mode, count):
+    grid = Grid(math.pi, 1024) if mode == "box" else suggest_grid(params, m, mode, count)
+    calls = _record_stebz_calls(monkeypatch)
+    spec = refine(params, m, mode, count, grid)
+    finest = 4 * grid.n - 1
+    assert (finest, "i") not in calls
+    assert calls.count((finest, "v")) == count + 2  # top count, count brackets, upper neighbour
+    assert not any("near-degenerate" in rec.flags for rec in spec.records)
+
+
+def test_overlapping_brackets_fall_back_to_the_plain_solve(monkeypatch):
+    # tunnelling-split pairs near eps^2 = 22.58 and 43.52: the brackets overlap
+    p = PhysicalParams(M=3, omega=2, q=Q(1, 3))
+    grid = suggest_grid(p, 2, "free", 5)
+    calls = _record_stebz_calls(monkeypatch)
+    spec = refine(p, 2, "free", 5, grid)
+    assert (4 * grid.n - 1, "i") in calls
+    diag, off = discretize(p, 2, "free", grid.refined(4))
+    assert [rec.value_h4 for rec in spec.records] == list(eigenvalues_bisection(diag, off, 5))
+
+
+def test_a_missed_bracket_falls_back_to_the_plain_solve(monkeypatch):
+    diag, off = discretize(None, 0, "box", Grid(math.pi, 512))
+    plain = eigenvalues_bisection(diag, off, 3)
+    lam = _direct(diag, off, 4)
+    width = np.full(3, 0.1)
+    calls = _record_stebz_calls(monkeypatch)
+    # the prediction shifted off every eigenvalue: no bracket holds one
+    shifted = eigenvalues_bisection(diag, off, 3, (lam[:3] + 0.5, width))
+    # one bracket skips eigenvalue 2, which lies below the top bracket's end
+    skipped = eigenvalues_bisection(diag, off, 3, (lam[[0, 1, 3]], width))
+    assert np.array_equal(shifted, plain) and np.array_equal(skipped, plain)
+    # two overlapping brackets each hold eigenvalue 1 alone, and 2 eigenvalues lie
+    # below the top end
+    doubled = eigenvalues_bisection(diag, off, 2, (lam[[1, 1]] + [-0.05, 0.05], width[:2]))
+    assert np.array_equal(doubled, eigenvalues_bisection(diag, off, 2))
+    assert calls.count((511, "i")) == 4
+    held = eigenvalues_bisection(diag, off, 3, (lam[:3] + 0.01, width))
+    assert np.all(np.abs(held - lam[:3]) <= _floor(diag, off) / 4)
+    assert calls.count((511, "i")) == 4
+
+
+def _mp_sturm_count(diag, off, x):
+    """Eigenvalues of the float system below x, by its Sturm sequence in mpf arithmetic."""
+    below, pivot = 0, mpmath.mpf(1)
+    for i, d in enumerate(diag):
+        pivot = d - x - (off[i - 1] ** 2 / pivot if i else 0)
+        below += pivot < 0
+    return below
+
+
+def test_bisection_stays_within_a_quarter_floor_of_extended_precision():
+    # the truth: eigenvalues of the float system, bisected by 30-digit Sturm counts
+    p = PhysicalParams(M=Q(8, 3), omega=2, q=4, hbar=Q(1, 2))
+    grid = suggest_grid(p, 2, "field", 3, n=512)
+    diag, off = discretize(p, 2, "field", grid.refined(4))
+    floor = _floor(diag, off)
+    plain = eigenvalues_bisection(diag, off, 3)
+    bracketed = eigenvalues_bisection(diag, off, 3, (plain + 3 * floor, np.full(3, 20 * floor)))
+    with mpmath.workdps(30):
+        d = [mpmath.mpf(float(v)) for v in diag]
+        e = [mpmath.mpf(float(v)) for v in off]
+        for k, guess in enumerate(plain):
+            lo, hi = mpmath.mpf(guess - 8 * floor), mpmath.mpf(guess + 8 * floor)
+            assert _mp_sturm_count(d, e, lo) == k and _mp_sturm_count(d, e, hi) == k + 1
+            while hi - lo > floor / 1000:
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if _mp_sturm_count(d, e, mid) == k else (lo, mid)
+            truth = float((lo + hi) / 2)
+            assert abs(plain[k] - truth) <= floor / 4
+            assert abs(bracketed[k] - truth) <= floor / 4
+
+
+# ---------------------------------------------------------------------------
 # Error bars
 # ---------------------------------------------------------------------------
 
