@@ -325,9 +325,6 @@ def cmd_oracle(cfg: RunConfig) -> dict:
     else:
         mode, params = cfg.mode, cfg.params
         m = cfg.m if cfg.m is not None else cfg.level() + 2
-        if m < 1:
-            raise ConfigError("oracle needs m >= 1 outside --box: at m = 0 the ladder "
-                              "converges at order about 0.2 and no error bar covers it")
     count, grid = _oracle_grid(cfg, m, mode, 6)
     spec = oracle_mod.refine(params, m, mode, count, grid, cfg.convention)
     return {

@@ -543,23 +543,6 @@ def monomial_matrix(a: DiffOperator, n: int) -> list[list[Fraction]]:
     return mat
 
 
-def charpoly(mat: Sequence[Sequence[Fraction]]) -> QPoly:
-    """Monic characteristic polynomial det(xI - M) by Faddeev-LeVerrier."""
-    n = len(mat)
-    m = [[_as_fraction(v) for v in row] for row in mat]
-    coeffs = [Q(1)]  # leading first
-    aux = [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
-    prod = m
-    for k in range(1, n + 1):
-        if k > 1:
-            prod = [[sum(m[i][l] * aux[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
-        tr = sum(prod[i][i] for i in range(n))
-        ck = -tr / k
-        coeffs.append(ck)
-        aux = [[prod[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
-    return QPoly(list(reversed(coeffs)))
-
-
 # ---------------------------------------------------------------------------
 # Spectral ledger
 # ---------------------------------------------------------------------------
@@ -569,34 +552,15 @@ def charpoly(mat: Sequence[Sequence[Fraction]]) -> QPoly:
 class SpectralLedger:
     """Exact record of how eigenvalues map back through transformations.
 
-    ``physical = scale * transformed + shift``.  Composition follows operator
-    chaining: if A -> A1 carries ledger L1 and A1 -> A2 carries L2, the total
-    map from A2-eigenvalues to A-eigenvalues is ``L1.compose(L2)``.
+    ``physical = transformed + shift``: every transformation of the pipeline
+    sweeps an additive constant out of the operator.
     """
 
-    scale: Fraction = Q(1)
     shift: Fraction = Q(0)
     provenance: tuple[str, ...] = ()
 
     def to_physical(self, x):
-        if self.scale == 1:
-            return x + self.shift if self.shift else x
-        return self.scale * x + self.shift
-
-    def compose(self, inner: "SpectralLedger") -> "SpectralLedger":
-        return SpectralLedger(
-            self.scale * inner.scale,
-            self.scale * inner.shift + self.shift,
-            self.provenance + inner.provenance,
-        )
-
-    @property
-    def is_identity(self) -> bool:
-        return self.scale == 1 and self.shift == 0
-
-    def inverse(self) -> "SpectralLedger":
-        return SpectralLedger(1 / self.scale, -self.shift / self.scale,
-                              tuple(f"inverse({p})" for p in reversed(self.provenance)))
+        return x + self.shift if self.shift else x
 
 
 # ---------------------------------------------------------------------------
@@ -736,16 +700,14 @@ def change_variable_sqrt(a: DiffOperator, scale, new_var: str = "rho") -> DiffOp
 # ---------------------------------------------------------------------------
 
 
-_TRUNCATION_SCAN = 64
-
-
 def series_recurrence(a: DiffOperator) -> tuple[QPoly, QPoly, QPoly, int | None]:
     """Extract the three-term recurrence of ``x F = A F`` on power series.
 
     Returns ``(alpha, beta, gamma, truncation_index)``, exact polynomials in
     the row index k: row k reads
     ``alpha(k) f_{k+1} = (x - beta(k)) f_k - gamma(k) f_{k-1}``, and the
-    series truncates at the first k < 64 where alpha vanishes (else None).
+    series truncates at the least non-negative integer root of alpha (else
+    None), searched up to alpha's Cauchy root bound.
     Requires every term ``rho^e D^d`` of ``a`` to shift monomial degree by
     -1, 0 or +1 (e - d in that range); otherwise :class:`NotQesError` is
     raised naming the offending term.
@@ -776,9 +738,13 @@ def series_recurrence(a: DiffOperator) -> tuple[QPoly, QPoly, QPoly, int | None]
     alpha = low.shifted(1)     # multiplies f_{k+1} in row k
     beta = mid
     gamma = up.shifted(-1)     # multiplies f_{k-1} in row k
-    trunc = None
-    for kk in range(_TRUNCATION_SCAN):
-        if not alpha(Q(kk)):
-            trunc = kk
-            break
-    return alpha, beta, gamma, trunc
+    return alpha, beta, gamma, _least_natural_root(alpha)
+
+
+def _least_natural_root(p: QPoly) -> int | None:
+    """The least integer k >= 0 with p(k) = 0, or None.  Every root of p lies
+    below its Cauchy bound 1 + max |a_i / a_d|, so the search stops there."""
+    if not p:
+        return 0
+    bound = 1 + max((abs(a / p.leading) for a in p.c[:-1]), default=0)
+    return next((k for k in range(math.floor(bound) + 1) if not p(Q(k))), None)

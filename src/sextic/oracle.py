@@ -216,7 +216,8 @@ def eigenvalues_bisection(diag: np.ndarray, off: np.ndarray, count: int,
         found = _bracketed(diag, off, norm, count, tol, *near)
         if found is not None:
             return found
-    return _stebz(diag, off, norm, "i", (0, count - 1), tol)
+    # a copy: dstebz's values are a view of its buffer of n values
+    return _stebz(diag, off, norm, "i", (0, count - 1), tol).copy()
 
 
 def _bracketed(diag, off, norm, count, tol, centres, half_widths) -> Optional[np.ndarray]:
@@ -291,8 +292,10 @@ def refine(params: Optional[PhysicalParams], m: int, mode: str, count: int,
     R1 = v_h4 - d23/3 remove the h^2 term from levels 1-2 and 2-3; the
     reported value R1 + (R1 - R0)/15 also removes the h^4 term.  Its bar is
     |R1 - R0|/15 plus the rounding floor eps * ||T|| of the finest level.
-    For |m| < 2 outside the box the error has an odd power of h below h^4,
-    so the value stays R1 with the bar |d23|/3 + eps * ||T||.
+    For |m| = 1 outside the box the error has an odd power of h below h^4,
+    so the value stays R1 with the bar |d23|/3 + eps * ||T||.  At m = 0
+    outside the box the ladder converges at order about 0.2 and no bar
+    covers the error: :class:`DomainError`.
     ``observed_order`` is the raw ladder's log2(d12/d23).
 
     The finest level is bisected inside brackets that the coarser two
@@ -322,6 +325,9 @@ def refine(params: Optional[PhysicalParams], m: int, mode: str, count: int,
     and ``rounding-limited`` ones whose order also leaves the window, are
     excluded from match verdicts (:attr:`EigenvalueRecord.trusted`).
     """
+    if m == 0 and mode != "box":
+        raise DomainError("the oracle needs m >= 1 outside the box: at m = 0 the ladder "
+                          "converges at order about 0.2 and no error bar covers it")
     v1, v2 = (eigenvalues_bisection(*discretize(params, m, mode, grid.refined(factor),
                                                 convention), count) for factor in (1, 2))
     diag, off = discretize(params, m, mode, grid.refined(4), convention)

@@ -45,9 +45,9 @@ from .model import (DomainError, PhysicalParams, coupling_constant,
                     energy_from_epsilon2, eta_squared, radial_operator,
                     SpectralValue)
 from .opcalc import (DiffOperator, GaugeAnsatz, GaugeError, LaurentPoly,
-                     NotQesError, Q, QPoly, SpectralLedger,
+                     NotQesError, OperatorError, Q, QPoly, SpectralLedger,
                      change_variable_sqrt, compose, gauge_conjugate,
-                     monomial_matrix, series_recurrence)
+                     series_recurrence)
 
 __all__ = [
     "QesError", "Sl2Realization", "sl2_generators", "algebraic_hamiltonian",
@@ -164,14 +164,6 @@ class ThreeTermRecurrence:
 
     def degenerate_rows(self) -> tuple[int, ...]:
         return tuple(k for k in range(self.j + 1) if not self.alpha(Q(k)))
-
-    def beta_physical(self) -> QPoly:
-        """beta expressed against the physical eigenvalue: beta + ledger shift."""
-        if self.variable == "physical":
-            return self.beta
-        if self.ledger.scale != 1:
-            raise QesError("non-unit ledger scale: no additive physical form")
-        return self.beta + self.ledger.shift
 
 
 def _field_ledger(params: PhysicalParams, m: int) -> SpectralLedger:
@@ -294,10 +286,7 @@ class PolynomialFamily:
                                 SpectralLedger(), self.degenerate_rows)
 
     def _physical(self, p: QPoly) -> QPoly:
-        if self.variable == "physical":
-            return p
-        led = self.ledger
-        return p.compose_linear(1 / led.scale, -led.shift / led.scale).monic()
+        return p if self.variable == "physical" else p.shifted(-self.ledger.shift)
 
 
 def polynomial_family(rec: ThreeTermRecurrence) -> PolynomialFamily:
@@ -370,8 +359,7 @@ class RootEnclosure:
         return (self.lo + self.hi) / 2
 
     def shifted(self, ledger: SpectralLedger) -> "RootEnclosure":
-        a, b = ledger.to_physical(self.lo), ledger.to_physical(self.hi)
-        return RootEnclosure(min(a, b), max(a, b))
+        return RootEnclosure(ledger.to_physical(self.lo), ledger.to_physical(self.hi))
 
     def mpf(self, digits: int):
         with mpmath.workdps(digits + 10):
@@ -813,21 +801,32 @@ def crosspath_comparison(params: PhysicalParams, j: int,
     checked exactly against the derived critical polynomial.  ``recurrence``
     is that block's (canonical gauge, free mode) when the caller already
     holds it; otherwise it is derived here.
+
+    On the module the Hamiltonian is tridiagonal (the sl2 generators move
+    the degree by at most one), so its characteristic polynomial
+    det(x - H) is the continuant of its band: the monic P_{j+1} of the
+    recurrence read from it.  A term off the band raises NotQesError; a
+    module that does not close (gamma_{j+1} != 0) raises OperatorError.
     """
-    from .opcalc import charpoly
     params.require_qes()
     m = j + 2
     flipped = PhysicalParams(params.M, params.c, params.hbar, params.omega,
                              -params.q, params.e_charge, params.B)
     ham = algebraic_hamiltonian(flipped, j)
-    cp = charpoly(monomial_matrix(ham, j))
+    alpha, beta, gamma, trunc = series_recurrence(ham)
+    if gamma(Q(j + 1)):
+        raise OperatorError(f"image of rho^{j} has a rho^{j + 1} term: "
+                            f"span(1..rho^{j}) not invariant")
+    module = ThreeTermRecurrence(j, alpha, beta, gamma, trunc, "module", "free", "reduced",
+                                 SpectralLedger(), ham)
+    cp = run_recurrence(module, QPoly.x(), j + 1)[-1].monic()
 
     rec = recurrence or derived_recurrence(params, j, None, "free")
     critical = polynomial_family(rec).critical_physical
     offset_published = 2 * params.M * params.c**2 * params.hbar * params.omega
     offset_implied = offset_published * m
-    match_implied = cp.compose_linear(1, offset_implied) == critical
-    match_published = cp.compose_linear(1, offset_published) == critical
+    match_implied = cp.shifted(offset_implied) == critical
+    match_published = cp.shifted(offset_published) == critical
     return {
         "charpoly_module": cp,
         "critical_physical": critical,

@@ -108,7 +108,8 @@ def gauge_json(g) -> dict[str, Any]:
 
 
 def ledger_json(led) -> dict[str, Any]:
-    return {"scale": frac_str(led.scale), "shift": frac_str(led.shift),
+    # every ledger is a shift; "scale" stays in the schema, always 1
+    return {"scale": "1", "shift": frac_str(led.shift),
             "provenance": list(led.provenance)}
 
 

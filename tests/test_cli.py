@@ -391,7 +391,7 @@ def test_a_verdict_respects_the_record_bar():
 def test_oracle_rejects_m_0_outside_the_box(capsys):
     code, out = run(["oracle", "--mode", "free", "--q", "0", "--m", "0", "--count", "2"])
     assert code == 2 and out == ""
-    assert "m >= 1 outside --box" in capsys.readouterr().err
+    assert "m >= 1 outside the box" in capsys.readouterr().err
     assert run(["oracle", "--box", "--m", "0", "--count", "2", "--oracle-n", "64"])[0] == 0
     assert run(["oracle", "--mode", "free", "--q", "0", "--m", "1", "--count", "2",
                 "--oracle-n", "512"])[0] == 0

@@ -1,7 +1,10 @@
-"""Every name a module exports in ``__all__`` resolves, so no retired name lingers."""
+"""Every name a module exports in ``__all__`` resolves, so no retired name lingers, and
+every function the benchmark tracer wraps exists."""
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import sextic
 
@@ -18,3 +21,15 @@ def test_every_exported_name_resolves():
         missing = [name for name in mod.__all__ if not hasattr(mod, name)]
         assert not missing, f"{mod.__name__}.__all__ names {missing}"
         assert len(set(mod.__all__)) == len(mod.__all__), f"{mod.__name__}.__all__ repeats a name"
+
+
+def test_every_traced_function_resolves():
+    # perfbench/tracing.py wraps functions by (module, attribute): a renamed or
+    # removed one would leave its metric silently empty under --trace 1
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [(mod, attr) for mod, attr in tracing._spans()
+               if not callable(getattr(importlib.import_module(mod), attr, None))]
+    assert not missing, f"traced functions that do not resolve: {missing}"

@@ -3,13 +3,11 @@
 import random
 from fractions import Fraction as Q
 
-import numpy as np
 import pytest
 
 from sextic.opcalc import (DiffOperator, GaugeAnsatz, GaugeError, LaurentPoly,
                            NotQesError, ParityError, QPoly, RepresentationError,
-                           SpectralLedger, change_variable_sqrt, charpoly,
-                           commutator, compose, gauge_conjugate,
+                           change_variable_sqrt, commutator, compose, gauge_conjugate,
                            monomial_matrix, series_recurrence)
 
 
@@ -184,15 +182,6 @@ def test_monomial_matrix_invariance_failure_names_monomial():
         monomial_matrix(_sl2_ops(3)[0], 1)
 
 
-def test_charpoly_against_numpy():
-    rng = random.Random(3)
-    mat = [[Q(rng.randint(-3, 3)) for _ in range(4)] for _ in range(4)]
-    cp = charpoly(mat)
-    ev = np.linalg.eigvals(np.array(mat, dtype=float))
-    for lam in ev:
-        assert abs(cp(complex(lam))) < 1e-8
-
-
 # ---------------------------------------------------------------------------
 # Gauge conjugation
 # ---------------------------------------------------------------------------
@@ -233,11 +222,10 @@ def test_gauge_roundtrip_restores_operator_and_ledger():
     t1, l1 = gauge_conjugate(a, g, p.hbar)
     # the inverse gauge reintroduces the centrifugal term by design
     t2, l2 = gauge_conjugate(t1, g.inverse(), p.hbar, require_reduced=False)
-    total = l1.compose(l2)
-    assert t2 + DiffOperator.multiplication(total.shift, "r") == a
-    assert total.scale == 1
+    shift = l1.shift + l2.shift
+    assert t2 + DiffOperator.multiplication(shift, "r") == a
     # the round-trip sweep accounts exactly for the operator's own constant
-    assert total.shift == a.coeff(0).constant_term
+    assert shift == a.coeff(0).constant_term
 
 
 def test_gauge_roundtrip_identity_ledger_for_constant_free_operator():
@@ -245,22 +233,8 @@ def test_gauge_roundtrip_identity_ledger_for_constant_free_operator():
     g = GaugeAnsatz(0, Q(1, 3), Q(2, 5))
     t1, l1 = gauge_conjugate(a, g, 1)
     t2, l2 = gauge_conjugate(t1, g.inverse(), 1, require_reduced=False)
-    total = l1.compose(l2)
     assert t2 == a
-    assert total.scale == 1 and total.shift == 0
-
-
-def test_ledger_composition_associative():
-    l1 = SpectralLedger(Q(2), Q(3), ("a",))
-    l2 = SpectralLedger(Q(1, 2), Q(-1), ("b",))
-    l3 = SpectralLedger(Q(5), Q(7), ("c",))
-    left = l1.compose(l2).compose(l3)
-    right = l1.compose(l2.compose(l3))
-    assert (left.scale, left.shift) == (right.scale, right.shift)
-    x = Q(11, 3)
-    assert l1.to_physical(l2.to_physical(x)) == l1.compose(l2).to_physical(x)
-    ident = l1.compose(l1.inverse())
-    assert ident.scale == 1 and ident.shift == 0
+    assert l1.shift + l2.shift == 0
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +300,13 @@ def test_series_recurrence_euler_band():
     assert gamma == QPoly()
     alpha_neg, _, _, _ = series_recurrence(DiffOperator({2: LaurentPoly({1: -1})}, "rho"))
     assert alpha_neg == -(k + 1) * k
+
+
+def test_series_recurrence_truncates_at_any_natural_root():
+    # rho D^2 + c D: alpha(k) = (k + 1)(k + c), a natural root only for c <= 0
+    for c, trunc in ((-100, 100), (-1000, 1000), (0, 0), (5, None), (Q(-1, 2), None)):
+        op = DiffOperator({2: LaurentPoly({1: 1}), 1: LaurentPoly({0: c})}, "rho")
+        assert series_recurrence(op)[3] == trunc
 
 
 def test_series_recurrence_band_violation():

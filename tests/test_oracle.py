@@ -280,6 +280,13 @@ def test_overlapping_brackets_fall_back_to_the_plain_solve(monkeypatch):
     assert [rec.value_h4 for rec in spec.records] == list(eigenvalues_bisection(diag, off, 5))
 
 
+def test_the_plain_solve_owns_its_values():
+    # dstebz fills a buffer of n values: a view of it would keep all n alive
+    diag, off = discretize(None, 0, "box", Grid(math.pi, 8192))
+    values = eigenvalues_bisection(diag, off, 3)
+    assert values.flags.owndata and values.base is None
+
+
 def test_a_missed_bracket_falls_back_to_the_plain_solve(monkeypatch):
     diag, off = discretize(None, 0, "box", Grid(math.pi, 512))
     plain = eigenvalues_bisection(diag, off, 3)
@@ -385,12 +392,22 @@ def test_m1_keeps_the_second_order_estimate():
 
 
 def test_order_out_of_window_gets_the_conservative_bar():
-    # m = 0: the ladder converges at order 0.2, not at the h^2 its estimate assumes
-    p = natural(q=0)
-    spec = refine(p, 0, "free", 2, suggest_grid(p, 0, "free", 2))
+    # 64 intervals over (0, 100) do not resolve the ground state: the ladder
+    # converges at order 3.0, not at the h^2 its estimate assumes
+    p = natural()
+    spec = refine(p, 3, "field", 1, Grid(100, 64))
     for rec in spec.records:
-        assert "order-out-of-window" in rec.flags
+        assert rec.flags == ("order-out-of-window",)
         assert rec.error_estimate > abs(rec.value_h - rec.value_h2) + abs(rec.value_h2 - rec.value_h4)
+
+
+@pytest.mark.parametrize("mode", ["free", "field"])
+def test_refine_refuses_m_0_outside_the_box(mode):
+    # at m = 0 the ladder converges at order about 0.2: no bar covers its error
+    p = natural(q=0)
+    with pytest.raises(DomainError, match="m >= 1"):
+        refine(p, 0, mode, 2, Grid(5, 256))
+    assert refine(None, 0, "box", 1, Grid(math.pi, 64)).records
 
 
 def test_suggest_grid_leaves_no_truncation_error():

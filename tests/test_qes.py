@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from sextic import qes
 from sextic.model import PhysicalParams, eta_squared
-from sextic.opcalc import QPoly, commutator, monomial_matrix
+from sextic.opcalc import (DiffOperator, LaurentPoly, NotQesError, OperatorError, QPoly,
+                           commutator, monomial_matrix)
 from sextic.qes import (FamilyConstructionError, QesError, RootPropertyError,
                         algebraic_hamiltonian, canonical_gauge, critical_roots,
                         crosspath_comparison, derived_recurrence, gauge_search,
@@ -74,6 +75,52 @@ def test_module_hamiltonian_j1_charpoly_crosspath():
     assert not rep["published_offset_matches"]
 
 
+def _det_x_minus(mat, x):
+    """det(x I - mat) by exact Fraction elimination with row pivoting."""
+    a = [[(x if r == c else 0) - v for c, v in enumerate(row)] for r, row in enumerate(mat)]
+    n, det = len(a), Q(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if a[r][c]), None)
+        if piv is None:
+            return Q(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, n):
+            f = a[r][c] / a[c][c]
+            a[r] = [u - f * v for u, v in zip(a[r], a[c])]
+    return det
+
+
+_positive = st.builds(Q, st.integers(1, 9), st.integers(1, 4))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(M=_positive, omega=_positive, q=_positive, j=st.integers(0, 8))
+def test_crosspath_charpoly_is_the_module_determinant(M, omega, q, j):
+    # the continuant of the band against det(x - H) of the module matrix
+    p = natural(M=M, omega=omega, q=q)
+    cp = crosspath_comparison(p, j)["charpoly_module"]
+    flipped = natural(M=M, omega=omega, q=-q)
+    mat = monomial_matrix(algebraic_hamiltonian(flipped, j), j)
+    assert cp.degree == j + 1
+    for x in range(-1, j + 2):
+        assert cp(Q(x, 3)) == _det_x_minus(mat, Q(x, 3))
+
+
+@pytest.mark.parametrize("extra, error, match", [
+    ({1: 1}, OperatorError, "not invariant"),  # rho^j -> rho^(j+1): on the band, not closed
+    ({2: 1}, NotQesError, "band"),             # rho^k -> rho^(k+2): off the band
+])
+def test_crosspath_rejects_a_broken_module(monkeypatch, extra, error, match):
+    ham = algebraic_hamiltonian(natural(q=-1), 2) + DiffOperator.multiplication(
+        LaurentPoly(extra), "rho")
+    monkeypatch.setattr(qes, "algebraic_hamiltonian", lambda params, j: ham)
+    with pytest.raises(error, match=match):
+        crosspath_comparison(natural(), 2)
+
+
 @pytest.mark.parametrize("j", range(7))
 def test_crosspath_exact(j):
     for p in (natural(), natural(M=Q(3, 2), omega=Q(2, 5), q=Q(-7, 3))):
@@ -100,10 +147,26 @@ def test_derived_recurrence_matches_published_operator_forms():
             assert rec.gamma == u * (Q(j + 1) - k)
             w = 4 * p.M * p.c**2 * p.hbar * p.omega
             if mode == "field":
-                assert rec.beta_physical() - rec.ledger.shift == QPoly()
+                assert rec.beta == QPoly()
             else:
-                assert rec.beta_physical() == -w * (Q(j + 1) - k)
+                assert rec.beta + rec.ledger.shift == -w * (Q(j + 1) - k)
             assert rec.truncation_index == j + 1
+
+
+@pytest.mark.parametrize("mode", ["free", "field"])
+@pytest.mark.parametrize("j", [63, 64, 100])
+def test_truncation_index_past_j_63(mode, j):
+    # the truncation row is found at any j, not only below a fixed scan depth
+    assert derived_recurrence(natural(), j, None, mode).truncation_index == j + 1
+    for cand in gauge_search(natural(), j, mode):
+        trunc = cand.recurrence.truncation_index
+        alpha = cand.recurrence.alpha
+        if trunc is None:  # alpha = (k + 1)(a k + b), and -b/a is no natural number
+            quot, rem = alpha.divmod(QPoly.x() + 1)
+            root = -quot.c[0] / quot.c[1]
+            assert not rem and (root < 0 or root.denominator != 1)
+        else:
+            assert not alpha(Q(trunc)) and all(alpha(Q(k)) for k in range(trunc))
 
 
 def test_published_recurrence_free_degeneracy():
@@ -469,7 +532,7 @@ def test_spectrum_published_source():
     assert mids == sorted(mids)
     assert spec.gauge is None
     # published free variable is already physical
-    assert spec.ledger.is_identity
+    assert spec.ledger.shift == 0
 
 
 def test_spectrum_coefficient_vectors():
