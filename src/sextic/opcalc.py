@@ -218,17 +218,13 @@ class QPoly:
         lead = self.leading
         return QPoly([a / lead for a in self.c])
 
-    def compose_linear(self, a, b) -> "QPoly":
-        """Return p(a*x + b), exactly."""
-        arg = QPoly([_as_fraction(b), _as_fraction(a)])
+    def shifted(self, delta) -> "QPoly":
+        """Return p(x + delta), exactly."""
+        arg = QPoly([_as_fraction(delta), 1])
         out = QPoly()
         for coeff in reversed(self.c):
             out = out * arg + coeff
         return out
-
-    def shifted(self, delta) -> "QPoly":
-        """Return p(x + delta)."""
-        return self.compose_linear(1, delta)
 
     def __repr__(self) -> str:
         if not self.c:
@@ -432,21 +428,7 @@ class DiffOperator:
 
     def apply(self, p: QPoly) -> QPoly:
         """Apply to a polynomial; errors if the image leaves the polynomial ring."""
-        acc: dict[int, Fraction] = {}
-        for n, a in enumerate(p.c):
-            if not a:
-                continue
-            for e, v in self.image_of_monomial(n).items():
-                acc[e] = acc.get(e, Q(0)) + a * v
-        acc = {e: v for e, v in acc.items() if v}
-        if acc and min(acc) < 0:
-            raise RepresentationError(
-                f"image has negative exponent {min(acc)}; input valuation too low"
-            )
-        c = [Q(0)] * (max(acc) + 1 if acc else 0)
-        for e, v in acc.items():
-            c[e] = v
-        return QPoly(c)
+        return QPoly(self.apply_coeffs(p.c))
 
     def apply_coeffs(self, coeffs: Sequence) -> list:
         """Apply to sum_n coeffs[n] x^n where coeffs live in any commutative ring.
@@ -707,11 +689,13 @@ def series_recurrence(a: DiffOperator) -> tuple[QPoly, QPoly, QPoly, int | None]
     the row index k: row k reads
     ``alpha(k) f_{k+1} = (x - beta(k)) f_k - gamma(k) f_{k-1}``, and the
     series truncates at the least non-negative integer root of alpha (else
-    None), searched up to alpha's Cauchy root bound.
-    Requires every term ``rho^e D^d`` of ``a`` to shift monomial degree by
-    -1, 0 or +1 (e - d in that range); otherwise :class:`NotQesError` is
-    raised naming the offending term.
+    None).  Requires every term ``rho^e D^d`` of ``a`` to shift monomial
+    degree by -1, 0 or +1 (e - d in that range); otherwise
+    :class:`NotQesError` is raised naming the offending term.  The pipeline
+    only produces operators of order <= 2, which is all that is implemented.
     """
+    if a.order > 2:
+        raise OperatorError("series recurrence implemented for order <= 2 only")
     k = QPoly.x()
     low, mid, up = QPoly(), QPoly(), QPoly()
     for d, c in a.terms.items():
@@ -741,10 +725,12 @@ def series_recurrence(a: DiffOperator) -> tuple[QPoly, QPoly, QPoly, int | None]
     return alpha, beta, gamma, _least_natural_root(alpha)
 
 
-def _least_natural_root(p: QPoly) -> int | None:
-    """The least integer k >= 0 with p(k) = 0, or None.  Every root of p lies
-    below its Cauchy bound 1 + max |a_i / a_d|, so the search stops there."""
-    if not p:
+def _least_natural_root(alpha: QPoly) -> int | None:
+    """The least integer k >= 0 with alpha(k) = 0, or None.  The f_0 check
+    makes alpha(-1) = 0, so at order <= 2 alpha = (k + 1)(a_2 k + alpha(0)),
+    whose other root is -alpha(0) / a_2."""
+    if not alpha:
         return 0
-    bound = 1 + max((abs(a / p.leading) for a in p.c[:-1]), default=0)
-    return next((k for k in range(math.floor(bound) + 1) if not p(Q(k))), None)
+    a2 = alpha.coeff(2)
+    root = -alpha.coeff(0) / a2 if a2 else Q(-1)
+    return int(root) if root >= 0 and root.denominator == 1 else None

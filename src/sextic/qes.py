@@ -21,12 +21,12 @@ Two recurrence sources are first class and never merged:
 Roots are approximated, rounded to dyadic cells narrower than
 10^-(digits+10) (default 50 digits) and certified by exact integer sign
 evaluation of the critical polynomial; no approximate value decides a sign.
-The approximators, in order: LAPACK float eigenvalues of the symmetrized
-Jacobi matrix refined by exact integer Newton on the cell grid, then mpf
-Jacobi-matrix eigenvalues (``mpmath.eigsy``), then ``mpmath.polyroots``.  The
-exact Sturm count that names a failure (complex or multiple roots) runs
-before ``polyroots`` and after a failed ``eigsy`` attempt, never after a
-Newton miss.
+Every root is an eigenvalue of an exact Jacobi matrix (b_k, c_k > 0): the
+band's own when it symmetrizes, else the one read off the exact Sturm chain,
+whose count also names a failure (complex or multiple roots).  LAPACK float
+eigenvalues of that matrix, refined by exact integer Newton on the cell grid,
+come first; mpf eigenvalues (``mpmath.eigsy``) at doubling precision back
+them up.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from typing import Optional, Sequence
 
 import mpmath
 import numpy as np
-from mpmath.libmp import NoConvergence
 
 from . import tables
 from .model import (DomainError, PhysicalParams, coupling_constant,
@@ -385,15 +384,25 @@ def _variations_at(chain: Sequence[QPoly], x: Fraction) -> int:
     return _sign_changes([c(x) for c in chain])
 
 
-def _require_real_simple(p: QPoly) -> None:
-    """Raise RootPropertyError when the exact Sturm count of distinct real
-    roots (signs at +-infinity are leading signs) falls short of the degree."""
+def _sturm_jacobi(p: QPoly) -> tuple[list[Fraction], list[Fraction]]:
+    """(b_k, c_k) of a Jacobi matrix whose eigenvalues are the roots of ``p``,
+    read off its exact Sturm chain.  Raise RootPropertyError when the Sturm
+    count of distinct real roots (signs at +-infinity are leading signs) falls
+    short of the degree.  A full count leaves one chain entry of each degree i
+    with leading coefficients l_i of one sign, so the monic P_i obey
+    P_{k+1} = (x - b_k) P_k - c_k P_{k-1} with c_k = l_{k-1} / l_{k+1} > 0."""
     chain = _sturm_chain(p)
     at_neg = [c.leading * (-1) ** c.degree for c in chain]
     count = _sign_changes(at_neg) - _sign_changes([c.leading for c in chain])
     if count < p.degree:
         raise RootPropertyError(
             f"only {count} distinct real roots for degree {p.degree}", p, count=count)
+    chain.reverse()  # entry i has degree i
+    lead = [c.leading for c in chain]
+    s = [e.coeff(i - 1) / lead[i] for i, e in enumerate(chain)]
+    b = [s[k] - s[k + 1] for k in range(p.degree)]
+    c = [lead[k - 1] / lead[k + 1] for k in range(1, p.degree)]
+    return b, c
 
 
 #: cap on the integer Newton steps per root; from a float seed (53 bits) a
@@ -455,28 +464,16 @@ def _newton_centres(coeffs: Sequence[int], jacobi, k: int) -> Optional[list[int]
     return sorted(centres)
 
 
-def _centres(p: QPoly, jacobi, dps: int, k: int) -> list[int]:
-    """Approximate roots of ``p`` at ``dps`` digits, rounded to ascending integer
-    numerators over 2^k: the fallback after :func:`_newton_centres`.  mpf
-    Jacobi-matrix eigenvalues (``mpmath.eigsy``) when ``jacobi`` = (b, c) is
-    given, else real parts from ``mpmath.polyroots`` (iterated at twice the
-    precision, since its stopping test is absolute; empty if it diverges).
-    The exact Sturm count runs after the first of these calls fails to
-    certify (before it, without ``jacobi``), never after a Newton miss."""
+def _centres(jacobi, dps: int, k: int) -> list[int]:
+    """mpf eigenvalues (``mpmath.eigsy``) of the Jacobi matrix (b_k, sqrt(c_k))
+    at ``dps`` digits, rounded to ascending integer numerators over 2^k: the
+    fallback after :func:`_newton_centres`."""
+    diag, offsq = jacobi
     with mpmath.workdps(dps):
-        if jacobi is not None:
-            diag, offsq = jacobi
-            mat = mpmath.diag([_to_mpf(b) for b in diag])
-            for i, ci in enumerate(offsq, 1):
-                mat[i, i - 1] = mat[i - 1, i] = mpmath.sqrt(_to_mpf(ci))
-            approx = mpmath.eigsy(mat, eigvals_only=True)
-        else:
-            try:
-                approx = [mpmath.re(z) for z in mpmath.polyroots(
-                    [_to_mpf(a) for a in reversed(p.c)], maxsteps=50 + 10 * p.degree,
-                    extraprec=mpmath.mp.prec)]
-            except NoConvergence:
-                return []
+        mat = mpmath.diag([_to_mpf(b) for b in diag])
+        for i, ci in enumerate(offsq, 1):
+            mat[i, i - 1] = mat[i - 1, i] = mpmath.sqrt(_to_mpf(ci))
+        approx = mpmath.eigsy(mat, eigvals_only=True)
         return sorted(int(mpmath.nint(mpmath.ldexp(x, k))) for x in approx)
 
 
@@ -511,43 +508,39 @@ def _certified(p: QPoly, coeffs: Sequence[int], centres: list[int],
 def isolate_real_roots(p: QPoly, digits: int = 50, jacobi=None) -> list[RootEnclosure]:
     """Disjoint enclosures of all real roots of ``p``, each of width < 10^-(digits+10).
 
-    Approximate, round to dyadic cells and certify each by exact integer
-    signs: deg p disjoint sign changes prove every root real, simple and
-    isolated.  Approximators, in order: with ``jacobi`` = (b_k, c_k), LAPACK
-    float seeds refined by exact integer Newton on the cell grid; if those
-    cells fail, or without ``jacobi``, mpf Jacobi-matrix eigenvalues
-    (``mpmath.eigsy``), else ``mpmath.polyroots``, retried at doubled
-    precision on each failed certification.  An exact Sturm count raises
+    Approximate the eigenvalues of a Jacobi matrix ``jacobi`` = (b_k, c_k),
+    every c_k > 0, whose monic continuant is ``p``; round them to dyadic cells
+    and certify each by exact integer signs: deg p disjoint sign changes prove
+    every root real, simple and isolated.  Without ``jacobi`` the matrix is
+    read off the exact Sturm chain, whose count raises
     :class:`RootPropertyError` when the distinct real roots fall short of the
-    degree (complex or multiple roots: a reportable property violation); it
-    runs first without ``jacobi`` (polyroots costs far more) and otherwise
-    only after the first mpf attempt has failed too, never after a Newton miss.
+    degree (complex or multiple roots: a reportable property violation).
+    LAPACK float seeds refined by exact integer Newton on the cell grid come
+    first; if those cells fail, mpf eigenvalues (``mpmath.eigsy``), retried
+    at doubled precision on each failed certification.
     """
     if p.degree < 1:
         raise QesError("constant polynomial has no roots to isolate")
+    if jacobi is None:
+        jacobi = _sturm_jacobi(p)
     den = math.lcm(*(a.denominator for a in p.c))
     coeffs = [a.numerator * (den // a.denominator) for a in p.c]
+    k = (10 ** (digits + 10)).bit_length() + 1
+    centres = _newton_centres(coeffs, jacobi, k)
+    cells = None if centres is None else _certified(p, coeffs, centres, k)
+    if cells is not None:
+        return cells
     # 10 guard digits past the cell, plus the bits of the Fujiwara root bound
     # 2 max |a_{d-i}/a_d|^(1/i): approximation errors scale with the roots
     lead = abs(coeffs[-1]).bit_length()
     bits = max((abs(a).bit_length() - lead) // (p.degree - i) + 3 for i, a in enumerate(coeffs[:-1]))
     dps0 = dps = digits + 20 + max(0, bits) * 3 // 10 + 1
-    if jacobi is None:
-        _require_real_simple(p)
-    else:
-        k = (10 ** (digits + 10)).bit_length() + 1
-        centres = _newton_centres(coeffs, jacobi, k)
-        cells = None if centres is None else _certified(p, coeffs, centres, k)
-        if cells is not None:
-            return cells
-    for attempt in range(6):
+    for _ in range(6):
         # the cell narrows with the precision so that close roots separate
         k = (10 ** (digits + 10 + (dps - dps0) // 2)).bit_length() + 1
-        cells = _certified(p, coeffs, _centres(p, jacobi, dps, k), k)
+        cells = _certified(p, coeffs, _centres(jacobi, dps, k), k)
         if cells is not None:
             return cells
-        if attempt == 0 and jacobi is not None:
-            _require_real_simple(p)
         dps *= 2
     raise QesError(f"degree-{p.degree} roots not certified at {dps // 2} digits")
 

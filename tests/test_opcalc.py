@@ -6,9 +6,9 @@ from fractions import Fraction as Q
 import pytest
 
 from sextic.opcalc import (DiffOperator, GaugeAnsatz, GaugeError, LaurentPoly,
-                           NotQesError, ParityError, QPoly, RepresentationError,
-                           change_variable_sqrt, commutator, compose, gauge_conjugate,
-                           monomial_matrix, series_recurrence)
+                           NotQesError, OperatorError, ParityError, QPoly,
+                           RepresentationError, change_variable_sqrt, commutator, compose,
+                           gauge_conjugate, monomial_matrix, series_recurrence)
 
 
 def D(var="x"):
@@ -45,7 +45,7 @@ def test_qpoly_divmod_and_mod():
 
 def test_qpoly_compose_linear():
     p = QPoly([0, 0, 1])  # x^2
-    assert p.compose_linear(1, 3) == QPoly([9, 6, 1])
+    assert p.shifted(3) == QPoly([9, 6, 1])
     assert p.shifted(Q(-1, 2)) == QPoly([Q(1, 4), -1, 1])
 
 
@@ -304,7 +304,8 @@ def test_series_recurrence_euler_band():
 
 def test_series_recurrence_truncates_at_any_natural_root():
     # rho D^2 + c D: alpha(k) = (k + 1)(k + c), a natural root only for c <= 0
-    for c, trunc in ((-100, 100), (-1000, 1000), (0, 0), (5, None), (Q(-1, 2), None)):
+    for c, trunc in ((-100, 100), (-1000, 1000), (-10**6, 10**6), (0, 0), (5, None),
+                     (10**6, None), (Q(-1, 2), None)):
         op = DiffOperator({2: LaurentPoly({1: 1}), 1: LaurentPoly({0: c})}, "rho")
         assert series_recurrence(op)[3] == trunc
 
@@ -313,6 +314,9 @@ def test_series_recurrence_band_violation():
     with pytest.raises(NotQesError) as err:
         series_recurrence(mult({2: 1}, "rho"))
     assert err.value.offending == (2, 0, 1)
+    # rho^2 D^3 shifts by -1, on the band, but alpha would be cubic
+    with pytest.raises(OperatorError, match="order <= 2"):
+        series_recurrence(DiffOperator({3: LaurentPoly({2: 1})}, "rho"))
 
 
 def test_series_recurrence_centrifugal_residue():

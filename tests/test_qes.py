@@ -411,9 +411,83 @@ def test_a_newton_miss_falls_back_to_the_same_cells(monkeypatch):
 
     monkeypatch.setattr("scipy.linalg.eigh_tridiagonal", lambda d, e, **kw: np.full(len(d), d[-1]))
     monkeypatch.setattr(qes, "_centres", counted)
-    monkeypatch.setattr(qes, "_require_real_simple", no_sturm)
+    monkeypatch.setattr(qes, "_sturm_chain", no_sturm)
     assert [critical_roots(fam) for fam in fams] == want
     assert len(fallbacks) == 2
+
+
+def _continuant(b, c):
+    # monic P_{k+1} = (x - b_k) P_k - c_k P_{k-1}, P_0 = 1
+    x, prev, cur = QPoly.x(), QPoly(), QPoly([1])
+    for k, bk in enumerate(b):
+        prev, cur = cur, (x - bk) * cur - (c[k - 1] * prev if k else QPoly())
+    return cur
+
+
+def _no_polyroots(*args, **kw):
+    raise AssertionError("mpmath.polyroots is not a root approximator")
+
+
+real_roots = st.fractions(min_value=-40, max_value=40, max_denominator=500)
+
+
+@settings(max_examples=40, deadline=None)
+@given(roots=st.lists(real_roots, min_size=1, max_size=6, unique=True),
+       twins=st.lists(st.booleans(), min_size=6, max_size=6),
+       gap=st.sampled_from([Q(1, 10**30), Q(1, 10**12), Q(3, 7)]),
+       lead=st.fractions(min_value=-100, max_value=100, max_denominator=50).filter(bool))
+def test_every_real_rooted_polynomial_is_a_jacobi_spectrum(roots, twins, gap, lead):
+    # near-clusters: each root may get a twin at distance ``gap``
+    roots = sorted(set(roots + [r + gap for r, twin in zip(roots, twins) if twin]))
+    p = _with_roots(*roots) * lead
+    b, c = qes._sturm_jacobi(p)
+    assert len(b) == len(roots) and len(c) == len(roots) - 1
+    assert all(v > 0 for v in c)
+    assert _continuant(b, c) == p.monic()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mpmath, "polyroots", _no_polyroots)
+        encs = isolate_real_roots(p, 30)
+    assert len(encs) == len(roots)
+    assert all(a.hi < b.lo for a, b in zip(encs, encs[1:]))
+    for e, r in zip(encs, roots):
+        assert e.lo <= r <= e.hi and e.width < Q(1, 10**40)
+
+
+# The decoupled blocks (c_1 = 0, so the band cannot be symmetrized) of
+# M = omega = q = 1: gauge-search candidate index -> 50-digit reduced roots.
+DECOUPLED_ROOTS = {
+    ("free", 1, 3): [
+        "-4.00000000000000000000000000000000000000000000000000",
+        "0.00000000000000000000000000000000000000000000000000",
+    ],
+    ("free", 2, 3): [
+        "-14.24621125123532109964281971194815405029439845074724",
+        "0.00000000000000000000000000000000000000000000000000",
+        "2.24621125123532109964281971194815405029439845074724",
+    ],
+    ("free", 3, 3): [
+        "-26.03582432839582788696297917292650672655865339080226",
+        "-6.73010568531907642209746885658843988763909017031268",
+        "0.00000000000000000000000000000000000000000000000000",
+        "8.76593001371490430906044802951494661419774356111494",
+    ],
+    ("field", 2, 2): [
+        "-8.00000000000000000000000000000000000000000000000000",
+        "0.00000000000000000000000000000000000000000000000000",
+        "8.00000000000000000000000000000000000000000000000000",
+    ],
+}
+
+
+@pytest.mark.parametrize("key", list(DECOUPLED_ROOTS), ids=lambda k: "%s-j%d-gauge%d" % k)
+def test_decoupled_blocks_take_the_sturm_jacobi_matrix(key, monkeypatch):
+    mode, j, index = key
+    cand = gauge_search(natural(), j, mode)[index]
+    assert cand.recurrence.coefficients_at(1)[2] == 0
+    assert qes._jacobi(polynomial_family(cand.recurrence)) is None
+    monkeypatch.setattr(mpmath, "polyroots", _no_polyroots)
+    spec = spectrum(natural(), j, mode, gauge=cand.gauge, recurrence=cand.recurrence)
+    assert [decimal_fixed(e.midpoint, 50) for e in spec.roots_reduced] == DECOUPLED_ROOTS[key]
 
 
 @pytest.mark.parametrize("coeffs, jacobi, seeds", [
