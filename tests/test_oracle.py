@@ -1,8 +1,13 @@
 """Numerical-solver tests: discretization, Sturm counts, refinement, shooting."""
 
 import math
+import os
+import subprocess
+import sys
+import time
 import warnings
 from fractions import Fraction as Q
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -18,6 +23,8 @@ from sextic.oracle import (DEFAULT_N, EigenvalueRecord, Grid, OracleSpectrum,
                            ode_residual, potential_on_grid, refine, residual,
                            shoot, sturm_count, suggest_grid)
 from sextic.qes import RadialWavefunction, spectrum, wavefunction
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def natural(**kw):
@@ -517,6 +524,68 @@ def test_shoot_agrees_with_refine():
 def test_shoot_no_sign_change_is_informative():
     with pytest.raises(DomainError, match="no Wronskian sign change"):
         shoot(None, 0, "box", 2.0, (1.7, 2.3), math.pi)
+
+
+def _shoot_cases():
+    """verify's refine-shoot cases and the field levels of test_shoot_agrees_with_refine."""
+    cases = [(None, 0, "box", t, (t - 0.5, t + 0.5), math.pi) for t in (1.0, 4.0)]
+    q0 = natural(q=0)
+    r_max = suggest_grid(q0, 2, "free", 2, n=2048).r_max
+    cases += [(q0, 2, "free", t, (t - 1.0, t + 1.0), r_max) for t in (4.0, 8.0)]
+    p = natural()
+    grid = suggest_grid(p, 2, "field", 3, n=1024)
+    for rec in refine(p, 2, "field", 3, grid).records[:2]:
+        x = rec.extrapolated
+        cases.append((p, 2, "field", x, (x - 0.5, x + 0.5), grid.r_max))
+    return cases
+
+
+def test_shoot_converges_in_its_step_count(monkeypatch):
+    from sextic import oracle
+    cases = _shoot_cases()
+    base = [shoot(*case) for case in cases]
+    monkeypatch.setattr(oracle, "_STEPS", 2 * oracle._STEPS)
+    for case, ev in zip(cases, base):
+        assert abs(shoot(*case) - ev) <= 1e-10 * abs(ev), case
+
+
+@pytest.mark.parametrize("x", [1.0, 4.0, 9.0])
+def test_shoot_box_starts_at_the_origin(x):
+    # sin(sqrt(x) r) on [0, pi]: the exact data (0, 1) at r = 0, no r0 offset
+    assert abs(shoot(None, 0, "box", x, (x - 0.5, x + 0.5), math.pi) - x) < 1e-11
+
+
+def test_shoot_wide_r_max_is_bounded():
+    p = natural()
+    grid = suggest_grid(p, 2, "field", 3, n=1024)
+    rec = refine(p, 2, "field", 3, grid).records[0]
+    x = rec.extrapolated
+    t0 = time.perf_counter()
+    ev = shoot(p, 2, "field", x, (x - 0.5, x + 0.5), 20.0)
+    assert time.perf_counter() - t0 < 2.0
+    assert abs(ev - x) < 1e-8
+
+
+@pytest.mark.parametrize("r_max, message", [
+    (1e60, "potential overflows on the shooting legs"),  # r^6 overflows
+    (1e45, "the shooting steps overflow"),  # U is finite, h^2 U is not
+])
+def test_shoot_refuses_an_overflowing_potential(r_max, message):
+    with pytest.raises(DomainError, match=message + "; reduce r_max"):
+        shoot(natural(), 2, "field", 6.8, (6.3, 7.3), r_max)
+
+
+def test_verify_never_loads_scipy_integrate():
+    code = ("import contextlib, io, sys\n"
+            "from sextic.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['verify']) == 0\n"
+            "assert 'scipy.integrate' not in sys.modules\n")
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------------------
