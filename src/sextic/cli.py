@@ -12,6 +12,7 @@ configuration gives byte-identical JSON.  Output is plain text (NO_COLOR holds).
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import re
 import sys
@@ -61,7 +62,7 @@ OPTIONS = {
                     "'auto' or a candidate index", help="auto (default) or viable-candidate index"),
     "convention": Option(str, "consistent", choices=("consistent", "printed")),
     "source": Option(str, "derived", choices=("derived", "published")),
-    "oracle_n": Option(int, oracle_mod.DEFAULT_N,
+    "oracle_n": Option(int, oracle_mod.DEFAULT_N, lambda v: v >= 1, "at least 1",
                        help=f"base intervals n of the numerical solver's n, 2n, 4n ladder "
                             f"(default {oracle_mod.DEFAULT_N}, near the rounding optimum)"),
     "rmax": Option(float, None, _positive_finite, "finite and positive"),
@@ -70,7 +71,7 @@ OPTIONS = {
     "root_index": Option(int, 0),
     "r_from": Option(float, 0.1, _positive_finite, "finite and positive"),
     "r_to": Option(float, 3.0, _positive_finite, "finite and positive"),
-    "samples": Option(int, 60),
+    "samples": Option(int, 60, lambda v: v >= 0, "non-negative"),
     "inject_fault": Option(help=argparse.SUPPRESS),
 }
 
@@ -213,11 +214,13 @@ def cmd_derive(cfg: RunConfig) -> dict:
     cfg.params.require_qes()
     candidates = gauge_search(cfg.params, j, cfg.mode, include_failures=True,
                               convention=cfg.convention)
+    ranks = itertools.count()  # --gauge indexes the viable candidates only
     report = {
         "command": "derive", "mode": cfg.mode, "j": j, "m": j + 2, "params": cfg.params.as_dict(),
         "published_reduced_operator":
             tables.published_reduced_operator(cfg.params, j + 2, cfg.mode).canonical_text(),
-        "candidates": [gauge_candidate_json(i, cand) for i, cand in enumerate(candidates)],
+        "candidates": [gauge_candidate_json(i, next(ranks) if cand.viable else None, cand)
+                       for i, cand in enumerate(candidates)],
     }
     if cfg.mode == "free":
         canonical = canonical_gauge(cfg.params, j + 2, "free")
@@ -394,8 +397,9 @@ def _pretty_derive(rep: dict):
     yield f"gauge candidates, mode={rep['mode']}, j={rep['j']} (m={rep['m']})"
     for row in rep["candidates"]:
         g = row["gauge"]
-        yield (f"[{row['index']}] r^({g['power']}) b={g['gaussian']} a={g['quartic']}  "
-               f"({g['normalizability']})")
+        gauge = "" if row["gauge_index"] is None else f" (--gauge {row['gauge_index']})"
+        yield (f"[{row['index']}]{gauge} r^({g['power']}) b={g['gaussian']} "
+               f"a={g['quartic']}  ({g['normalizability']})")
         if "rejected" in row:
             yield f"    rejected: {row['rejected']}"
             continue

@@ -31,7 +31,6 @@ from typing import Optional
 
 import mpmath
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .model import DomainError, PhysicalParams, radial_operator
 from .opcalc import Q
@@ -159,7 +158,9 @@ def _stebz(diag: np.ndarray, off: np.ndarray, norm: float, select: str, select_r
            tol: float):
     """LAPACK ``dstebz`` through scipy on the system of norm ``norm`` = ||T||,
     refused with :class:`DomainError` when ||T|| leaves [1e-135, 1e135], where
-    its answers go silently wrong."""
+    its answers go silently wrong.  scipy is imported here, on the first call,
+    so that loading the package (and every exact command) never imports it."""
+    from scipy.linalg import eigh_tridiagonal
     if not _STEBZ_NORMS[0] <= norm <= _STEBZ_NORMS[1]:
         raise DomainError(f"the tridiagonal system has norm {norm:.3g}, outside "
                           f"[{_STEBZ_NORMS[0]:g}, {_STEBZ_NORMS[1]:g}] where LAPACK dstebz "

@@ -429,20 +429,17 @@ def _sign_at(coeffs: Sequence[int], num: int, k: int) -> int:
 
 
 def _newton_centres(coeffs: Sequence[int], jacobi, k: int) -> Optional[list[int]]:
-    """Roots as ascending integer numerators over 2^k: LAPACK eigenvalues of
-    the float symmetrized Jacobi matrix (b_k, sqrt(c_k)), each refined by
-    Newton in exact integers on that grid (step round(P/P'), done once
+    """Roots as ascending integer numerators over 2^k: numpy (LAPACK) eigenvalues
+    of the dense float symmetrized Jacobi matrix (b_k, sqrt(c_k)), each refined
+    by Newton in exact integers on that grid (step round(P/P'), done once
     |step| <= 1).  None when an entry overflows a float, a seed is not
     finite, P' vanishes or a root does not converge in _NEWTON_STEPS."""
-    # scipy.linalg is loaded by the oracle anyway; importing it ahead of the
-    # rest of the package leaves the peak resident set about 0.8 MB higher
-    from scipy.linalg import LinAlgError, eigh_tridiagonal
     diag, offsq = jacobi
     try:
-        seeds = eigh_tridiagonal(np.array([float(b) for b in diag]),
-                                 np.array([math.sqrt(float(c)) for c in offsq]),
-                                 eigvals_only=True)
-    except (OverflowError, LinAlgError):
+        off = [math.sqrt(float(c)) for c in offsq]
+        seeds = np.linalg.eigvalsh(np.diag([float(b) for b in diag])
+                                   + np.diag(off, 1) + np.diag(off, -1))
+    except (OverflowError, np.linalg.LinAlgError):
         return None
     if not np.isfinite(seeds).all():
         return None

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import Any, Optional
 
 import mpmath
 
@@ -113,10 +113,12 @@ def ledger_json(led) -> dict[str, Any]:
             "provenance": list(led.provenance)}
 
 
-def gauge_candidate_json(index: int, cand) -> dict[str, Any]:
+def gauge_candidate_json(index: int, gauge_index: Optional[int], cand) -> dict[str, Any]:
     """One row of a gauge search: the gauge, and its reduced operator,
-    recurrence and ledger when it is viable or why it was rejected."""
-    row = {"index": index, "gauge": gauge_json(cand.gauge)}
+    recurrence and ledger when it is viable or why it was rejected.
+    ``gauge_index`` is the row's ``--gauge`` index, its rank among the viable
+    candidates (None for a rejected one)."""
+    row = {"index": index, "gauge_index": gauge_index, "gauge": gauge_json(cand.gauge)}
     if not cand.viable:
         return {**row, "rejected": cand.error}
     rec = cand.recurrence

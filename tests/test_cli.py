@@ -137,6 +137,20 @@ def test_wavefunction_zero_samples():
     assert any("normalizability" in line for line in lines)
 
 
+def test_wavefunction_negative_samples_exits_2(capsys):
+    code, out = run(["wavefunction", "--mode", "field", "--j", "2", "--samples=-3"])
+    assert code == 2 and out == ""
+    assert "samples must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_oracle_n_below_1_exits_2(value, capsys):
+    code, out = run(["oracle", "--mode", "free", "--m", "2", "--count", "2",
+                     f"--oracle-n={value}"])
+    assert code == 2 and out == ""
+    assert "oracle_n must be at least 1" in capsys.readouterr().err
+
+
 def test_wavefunction_root_index_out_of_range():
     code, _ = run(["wavefunction", "--mode", "field", "--j", "0",
                    "--root-index", "5"])
@@ -152,6 +166,33 @@ def test_derive_field_contains_published_shape():
     op = winners[0]["reduced_operator"]
     assert "2" in op and "rho^2" in op  # (j+1) = 2 and the rho^2 band
     assert rep["published_reduced_operator"].startswith("(-1*rho)*D^2")
+
+
+def test_derive_gauge_index_selects_its_row(monkeypatch):
+    # --gauge N indexes the viable candidates only; derive lists every candidate
+    from sextic import cli
+    from sextic.render import gauge_json
+    chosen, block = [], cli.spectrum
+
+    def recorded(params, j, mode, source, gauge, *args):
+        chosen.append(gauge_json(gauge))
+        return block(params, j, mode, source, gauge, *args)
+
+    monkeypatch.setattr(cli, "spectrum", recorded)
+    for mode in ("free", "field"):
+        for j in range(4):
+            rows = json.loads(run(["derive", "--mode", mode, "--j", str(j)])[1])["candidates"]
+            viable = [row for row in rows if "rejected" not in row]
+            assert [row["gauge_index"] for row in viable] == list(range(len(viable)))
+            assert all(row["gauge_index"] is None for row in rows if "rejected" in row)
+            for row in viable:
+                code, out = run(["spectrum", "--mode", mode, "--j", str(j),
+                                 "--gauge", str(row["gauge_index"])])
+                assert chosen.pop() == row["gauge"]
+                # a block without a full set of real roots exits 2 (RootPropertyError)
+                assert code == 2 or json.loads(out)["gauge"] == row["gauge"]
+    pretty = run(["derive", "--mode", "free", "--j", "1", "--format", "pretty"])[1]
+    assert "\n[7] (--gauge 2) r^(-5/2) b=1 a=-1 " in pretty
 
 
 def test_derive_free_has_module_hamiltonian_block():

@@ -223,14 +223,13 @@ def _direct(diag, off, count):
 
 def _record_stebz_calls(monkeypatch):
     """[(system size, select)] of every dstebz call the oracle makes."""
-    from sextic import oracle
-    calls = []
+    calls, solve = [], scipy.linalg.eigh_tridiagonal
 
     def recorded(diag, off, **kwargs):
         calls.append((len(diag), kwargs["select"]))
-        return scipy.linalg.eigh_tridiagonal(diag, off, **kwargs)
+        return solve(diag, off, **kwargs)
 
-    monkeypatch.setattr(oracle, "eigh_tridiagonal", recorded)
+    monkeypatch.setattr("scipy.linalg.eigh_tridiagonal", recorded)
     return calls
 
 
@@ -575,17 +574,41 @@ def test_shoot_refuses_an_overflowing_potential(r_max, message):
         shoot(natural(), 2, "field", 6.8, (6.3, 7.3), r_max)
 
 
-def test_verify_never_loads_scipy_integrate():
-    code = ("import contextlib, io, sys\n"
-            "from sextic.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert main(['verify']) == 0\n"
-            "assert 'scipy.integrate' not in sys.modules\n")
+def _run_fresh(code):
+    """Run ``code`` in a new interpreter that imports the package from src/."""
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def test_verify_never_loads_scipy_integrate():
+    _run_fresh("import contextlib, io, sys\n"
+               "from sextic.cli import main\n"
+               "with contextlib.redirect_stdout(io.StringIO()):\n"
+               "    assert main(['verify']) == 0\n"
+               "assert 'scipy.integrate' not in sys.modules\n")
+
+
+def test_exact_commands_never_load_scipy():
+    # only the float oracle (dstebz, brentq) needs scipy; compare runs it
+    exact = [["derive", "--mode", "free", "--j", "2"], ["polys", "--mode", "field", "--j", "4"],
+             *(["spectrum", "--mode", mode, "--j", str(j)]
+               for mode in ("free", "field") for j in range(21)),
+             ["spectrum", "--mode", "free", "--j", "3", "--gauge", "3"],
+             ["wavefunction", "--mode", "field", "--j", "2"]]
+    _run_fresh("import contextlib, io, sys\n"
+               "import sextic.oracle, sextic.verify\n"
+               "assert 'scipy' not in sys.modules\n"
+               "from sextic.cli import main\n"
+               f"for argv in {exact!r}:\n"
+               "    with contextlib.redirect_stdout(io.StringIO()):\n"
+               "        assert main(argv) == 0, argv\n"
+               "    assert 'scipy' not in sys.modules, argv\n"
+               "with contextlib.redirect_stdout(io.StringIO()):\n"
+               "    assert main(['compare', '--mode', 'field', '--j', '0', '--oracle-n', '256']) == 0\n"
+               "assert 'scipy.linalg' in sys.modules\n")
 
 
 # ---------------------------------------------------------------------------
