@@ -72,7 +72,7 @@ OPTIONS = {
     "r_from": Option(float, 0.1, _positive_finite, "finite and positive"),
     "r_to": Option(float, 3.0, _positive_finite, "finite and positive"),
     "samples": Option(int, 60, lambda v: v >= 0, "non-negative"),
-    "inject_fault": Option(help=argparse.SUPPRESS),
+    "inject_fault": Option(choices=verify.FAULT_NAMES, help=argparse.SUPPRESS),
 }
 
 
@@ -277,6 +277,9 @@ def _polys(cfg: RunConfig, fam_d) -> dict:
 
 def _block(cfg: RunConfig, source: str = "derived") -> QesSpectrum:
     """The algebraic block of the configured level."""
+    if source == "published" and cfg.gauge != "auto":
+        raise ConfigError(f"--gauge {cfg.gauge} selects a derived gauge; "
+                          "--source published has none")
     j = cfg.level()
     cfg.params.require_qes()
     gauge, rec = _select_gauge(cfg, j) if source == "derived" else (None, None)

@@ -356,10 +356,6 @@ class DiffOperator:
         self.var = var
 
     @classmethod
-    def zero(cls, var: str = "r") -> "DiffOperator":
-        return cls({}, var)
-
-    @classmethod
     def identity(cls, var: str = "r") -> "DiffOperator":
         return cls({0: LaurentPoly.const(1)}, var)
 
@@ -597,36 +593,31 @@ class GaugeAnsatz:
         return LaurentPoly({-1: self.power, 1: -self.gaussian / hbar, 3: -self.quartic / hbar})
 
 
-def gauge_conjugate(a: DiffOperator, g: GaugeAnsatz, hbar,
-                    require_reduced: bool = True) -> tuple[DiffOperator, SpectralLedger]:
+def gauge_conjugate(a: DiffOperator, g: GaugeAnsatz, hbar) -> tuple[DiffOperator, SpectralLedger]:
     """Conjugate ``a`` by the gauge factor: returns the operator acting on F
     where f = g(r) * F(r), with its constant term swept into the ledger.
 
-    With ``require_reduced`` (the pipeline default) a surviving centrifugal
-    (1/r or 1/r^2) multiplicative residue raises :class:`GaugeError`, the
-    residue riding on the exception so a gauge search can report why a
-    candidate failed.  Inverse gauges legitimately reintroduce the
-    centrifugal term (round trips restore the original operator); pass
-    ``require_reduced=False`` for those.  Parity violations always raise.
+    With w = (log g)' the conjugation of an order <= 2 operator has the closed
+    form g^-1 (a2 D^2 + a1 D + a0) g = a2 D^2 + (a1 + 2 a2 w) D
+    + (a0 + a1 w + a2 (w' + w^2)); higher orders raise :class:`OperatorError`.
+    A surviving centrifugal (1/r or 1/r^2) multiplicative residue raises
+    :class:`GaugeError`, the residue riding on the exception so a gauge search
+    can report why a candidate failed.  Parity violations always raise.
     """
     hbar = _as_fraction(hbar)
     if not a.parity_consistent():
         raise ParityError("input operator mixes parities")
-    logd = g.log_derivative(hbar)
-    shifted_d = DiffOperator({1: LaurentPoly.const(1), 0: logd}, a.var)
-    powers = {0: DiffOperator.identity(a.var)}
-    for k in range(1, a.order + 1):
-        powers[k] = compose(powers[k - 1], shifted_d)
-    out = DiffOperator.zero(a.var)
-    for k, c in a.terms.items():
-        out = out + compose(DiffOperator.multiplication(c, a.var), powers[k])
+    if a.order > 2:
+        raise OperatorError("gauge conjugation implemented for order <= 2 only")
+    w = g.log_derivative(hbar)
+    a2, a1, a0 = a.coeff(2), a.coeff(1), a.coeff(0)
+    out = DiffOperator({2: a2, 1: a1 + 2 * a2 * w,
+                        0: a0 + a1 * w + a2 * (w.derivative() + w * w)}, a.var)
 
     mult = out.coeff(0)
-    if require_reduced:
-        residue = LaurentPoly({e: v for e, v in mult.d.items() if e < 0})
-        if residue:
-            raise GaugeError(f"centrifugal residue after conjugation: {residue!r}",
-                             residue=residue)
+    residue = LaurentPoly({e: v for e, v in mult.d.items() if e < 0})
+    if residue:
+        raise GaugeError(f"centrifugal residue after conjugation: {residue!r}", residue=residue)
     odd = LaurentPoly({e: v for k, c in out.terms.items() for e, v in c.d.items() if (e - k) % 2})
     if odd:
         raise GaugeError(f"parity-violating residue after conjugation: {odd!r}", residue=odd)

@@ -23,7 +23,10 @@ from .qes import (algebraic_hamiltonian, canonical_gauge, critical_roots,
                   polynomial_family, run_recurrence, sl2_generators, spectrum,
                   wavefunction, _sturm_chain, _variations_at)
 
-__all__ = ["CheckResult", "run_checks", "CHECK_NAMES"]
+__all__ = ["CheckResult", "run_checks", "CHECK_NAMES", "FAULT_NAMES"]
+
+#: The names ``fault`` accepts; each flips one sign inside one check.
+FAULT_NAMES = ("sl2-sign", "quotient-sign", "parity-sign", "ledger-sign")
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,19 @@
 
 import argparse
 import contextlib
+import importlib.util
 import io
 import json
 import warnings
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sextic.cli import build_parser, main
+from sextic.verify import FAULT_NAMES
 
 
 def run(argv):
@@ -237,6 +240,17 @@ def test_verify_fault_injection_names_invariant():
     assert "FAIL sl2-relations" in out
 
 
+@pytest.mark.parametrize("fault", [*FAULT_NAMES, "sl2-relations", "SL2-SIGN", ""])
+def test_inject_fault_takes_only_a_fault_name(fault, capsys):
+    code, out = run(["verify", "--fast", "--inject-fault", fault])
+    if fault in FAULT_NAMES:
+        assert code == 1
+        assert "FAIL" in out
+    else:  # a misspelt fault must not read as a passing suite
+        assert (code, out) == (2, "")
+        assert "invalid choice" in capsys.readouterr().err
+
+
 def test_compare_report_shape():
     code, out = run(["compare", "--mode", "field", "--j", "0", "--oracle-n", "512",
                      "--count", "4"])
@@ -251,6 +265,15 @@ def test_published_source_spectrum():
     code, out = run(["spectrum", "--mode", "field", "--j", "1", "--source", "published"])
     assert code == 0
     assert json.loads(out)["source"] == "published"
+
+
+@pytest.mark.parametrize("gauge", ["0", "3"])
+def test_published_source_refuses_a_gauge_index(gauge, capsys):
+    code, out = run(["spectrum", "--mode", "free", "--j", "1", "--source", "published",
+                     "--gauge", gauge])
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert f"--gauge {gauge}" in err and "--source published" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -545,6 +568,34 @@ def test_argv_fuzz_exits_0_or_2(argv):
     assert "internal error" not in err.getvalue()
     if code == 2:
         assert out == ""
+
+
+def _golden():
+    path = Path(__file__).resolve().parents[1] / "tools" / "golden.py"
+    spec = importlib.util.spec_from_file_location("golden", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_golden_argvs_get_past_the_parser():
+    golden = _golden()
+    assert set(golden.FAULT_NAMES) == set(FAULT_NAMES)
+    parser = build_parser()
+    refused = [argv for argv in golden.ARGVS if not _parses(parser, argv)]
+    assert refused == [["verify", "--fast", "--inject-fault", name]
+                       for name in golden.UNKNOWN_FAULTS]
+
+
+def _parses(parser, argv):
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            parser.parse_args(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        return False
+    return True
 
 
 def test_each_command_registers_the_options_it_reads():

@@ -4,11 +4,16 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sextic import opcalc, qes
+from sextic.model import PhysicalParams
 from sextic.opcalc import (DiffOperator, GaugeAnsatz, GaugeError, LaurentPoly,
                            NotQesError, OperatorError, ParityError, QPoly,
-                           RepresentationError, change_variable_sqrt, commutator, compose,
-                           gauge_conjugate, monomial_matrix, series_recurrence)
+                           RepresentationError, SpectralLedger, change_variable_sqrt,
+                           commutator, compose, gauge_conjugate, monomial_matrix,
+                           series_recurrence)
 
 
 def D(var="x"):
@@ -187,6 +192,33 @@ def test_monomial_matrix_invariance_failure_names_monomial():
 # ---------------------------------------------------------------------------
 
 
+def _conjugate_by_powers(a, g, hbar, require_reduced=True):
+    """Reference conjugation by operator powers: sum_k c_k (D + w)^k, each power
+    of D + w built by :func:`compose`.  With ``require_reduced`` a centrifugal
+    residue raises :class:`GaugeError`; inverse gauges legitimately reintroduce
+    it, so round trips pass ``require_reduced=False``."""
+    hbar = Q(hbar)
+    if not a.parity_consistent():
+        raise ParityError("input operator mixes parities")
+    shifted_d = DiffOperator({1: LaurentPoly.const(1), 0: g.log_derivative(hbar)}, a.var)
+    powers = [DiffOperator.identity(a.var)]
+    for _ in range(a.order):
+        powers.append(compose(powers[-1], shifted_d))
+    out = DiffOperator({}, a.var)
+    for k, c in a.terms.items():
+        out = out + compose(DiffOperator.multiplication(c, a.var), powers[k])
+    mult = out.coeff(0)
+    residue = LaurentPoly({e: v for e, v in mult.d.items() if e < 0})
+    if require_reduced and residue:
+        raise GaugeError(f"centrifugal residue after conjugation: {residue!r}", residue=residue)
+    odd = LaurentPoly({e: v for k, c in out.terms.items() for e, v in c.d.items() if (e - k) % 2})
+    if odd:
+        raise GaugeError(f"parity-violating residue after conjugation: {odd!r}", residue=odd)
+    const = mult.constant_term
+    return (out - DiffOperator.multiplication(const, a.var),
+            SpectralLedger(shift=const, provenance=(f"gauge {g.label()}",)))
+
+
 def test_gauge_conjugate_harmonic_ground_form():
     # -D^2 + r^2 under exp(-r^2/2): -D^2 + 2 r D, swept constant 1
     a = DiffOperator({2: LaurentPoly({0: -1}), 0: LaurentPoly({2: 1})}, "r")
@@ -221,7 +253,7 @@ def test_gauge_roundtrip_restores_operator_and_ledger():
     g = GaugeAnsatz(Q(-5, 2), Q(2, 3), Q(-3, 5))
     t1, l1 = gauge_conjugate(a, g, p.hbar)
     # the inverse gauge reintroduces the centrifugal term by design
-    t2, l2 = gauge_conjugate(t1, g.inverse(), p.hbar, require_reduced=False)
+    t2, l2 = _conjugate_by_powers(t1, g.inverse(), p.hbar, require_reduced=False)
     shift = l1.shift + l2.shift
     assert t2 + DiffOperator.multiplication(shift, "r") == a
     # the round-trip sweep accounts exactly for the operator's own constant
@@ -232,9 +264,68 @@ def test_gauge_roundtrip_identity_ledger_for_constant_free_operator():
     a = DiffOperator({2: LaurentPoly({0: -1}), 0: LaurentPoly({2: 1, 4: 2})}, "r")
     g = GaugeAnsatz(0, Q(1, 3), Q(2, 5))
     t1, l1 = gauge_conjugate(a, g, 1)
-    t2, l2 = gauge_conjugate(t1, g.inverse(), 1, require_reduced=False)
+    t2, l2 = _conjugate_by_powers(t1, g.inverse(), 1, require_reduced=False)
     assert t2 == a
     assert l1.shift + l2.shift == 0
+
+
+_small = st.builds(Q, st.integers(-4, 4), st.integers(1, 3))
+
+
+def _laurent(draw, exponents):
+    return LaurentPoly({e: draw(_small) for e in exponents if draw(st.booleans())})
+
+
+@st.composite
+def _conjugation_cases(draw):
+    """A random parity-consistent operator of order <= 2, a gauge and hbar.  In
+    half the draws the 1/r^2 coefficient of a0 cancels the gauge's centrifugal
+    residue, so both outcomes (a reduced operator, a GaugeError) occur."""
+    order = draw(st.integers(0, 2))
+    a2 = _laurent(draw, (-2, 0, 2)) if order == 2 else LaurentPoly()
+    a1 = _laurent(draw, (-1, 1, 3)) if order >= 1 else LaurentPoly()
+    a0 = _laurent(draw, (-2, 0, 2, 4, 6))
+    g = GaugeAnsatz(Q(draw(st.integers(-5, 5)), 2), draw(_small), draw(_small))
+    if draw(st.booleans()):
+        s = g.power
+        a0 = a0 - LaurentPoly({-2: a0.coeff(-2) + a1.coeff(-1) * s + a2.coeff(0) * s * (s - 1)})
+    a = DiffOperator({2: a2, 1: a1, 0: a0}, "r")
+    return a, g, draw(st.builds(Q, st.integers(1, 5), st.integers(1, 3)))
+
+
+def _outcome(conjugate, *args):
+    try:
+        return conjugate(*args)
+    except OperatorError as err:
+        return type(err), getattr(err, "residue", None)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_conjugation_cases())
+def test_closed_form_conjugation_equals_operator_powers(case):
+    # same operator and ledger, or the same error with the same residue
+    assert _outcome(gauge_conjugate, *case) == _outcome(_conjugate_by_powers, *case)
+
+
+def test_gauge_conjugate_refuses_order_3():
+    with pytest.raises(OperatorError, match="order <= 2"):
+        gauge_conjugate(DiffOperator({3: LaurentPoly({1: 1})}, "r"), GaugeAnsatz(0, 1, 0), 1)
+
+
+def test_derived_recurrence_composes_no_operators(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return compose(a, b)
+
+    monkeypatch.setattr(opcalc, "compose", counting)
+    monkeypatch.setattr(qes, "compose", counting)
+    p = PhysicalParams(M=1, omega=Q(2, 3), q=Q(3, 5))
+    for mode in ("free", "field"):
+        for j in range(4):
+            qes.derived_recurrence(p, j, None, mode)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
