@@ -9,7 +9,7 @@ and reports the verdict.  The block roots satisfy the ODE identically either
 way; UNMATCHED means "formal, not square-integrable", not "wrong".
 """
 
-from sextic.model import PhysicalParams
+from sextic.model import PhysicalParams, radial_operator
 from sextic.oracle import match_report, refine, residual, suggest_grid
 from sextic.qes import spectrum, wavefunction
 
@@ -25,6 +25,7 @@ for mode, levels in (("field", (0, 1, 2)), ("free", (0, 1))):
         count = j + 5
         grid = suggest_grid(params, m, mode, count, n=2048)
         solver = refine(params, m, mode, count, grid)
+        op = radial_operator(params, m, mode)
         rep = match_report(spec, solver, tol=1e-4)
 
         print(f"\nj = {j} (m = {m}), ledger: physical = reduced + ({spec.ledger.shift})")
@@ -32,7 +33,7 @@ for mode, levels in (("field", (0, 1, 2)), ("free", (0, 1))):
               + ", ".join(f"{v:.6f}" for v in solver.eigenvalues))
         for i, (ph, entry) in enumerate(zip(spec.roots_physical, rep.entries)):
             wf = wavefunction(spec, i)
-            res = residual(wf, params, m, mode, ph.mpf(50))
+            res = residual(wf, op, ph.mpf(50))
             print(f"  block root eps^2 = {float(ph.midpoint):+.6f}  "
                   f"ODE residual {res:.1e}  "
                   f"[{wf.normalizability}]  -> {entry.verdict}"

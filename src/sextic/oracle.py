@@ -33,12 +33,12 @@ import mpmath
 import numpy as np
 
 from .model import DomainError, PhysicalParams, radial_operator
-from .opcalc import Q
+from .opcalc import DiffOperator, LaurentPoly, Q
 from .qes import QesSpectrum, RadialWavefunction, _to_mpf
 
 __all__ = [
-    "DEFAULT_N", "Grid", "OracleSpectrum", "EigenvalueRecord", "MatchReport", "MatchEntry",
-    "discretize", "potential_on_grid", "sturm_count", "eigenvalues_bisection",
+    "BOX", "DEFAULT_N", "Grid", "OracleSpectrum", "EigenvalueRecord", "MatchReport",
+    "MatchEntry", "discretize", "sturm_count", "eigenvalues_bisection",
     "refine", "shoot", "residual", "ode_residual", "match_report", "suggest_grid",
 ]
 
@@ -96,19 +96,26 @@ class Grid:
         return Grid(self.r_max, self.n * factor)
 
 
-def _operator_floats(params: Optional[PhysicalParams], m: int, mode: str,
-                     convention: str = "consistent"):
-    """(kinetic coefficient c^2 hbar^2, multiplicative coefficients {power: float}).
+BOX = DiffOperator({2: LaurentPoly.const(-1)})
+"""-D^2, the operator of the Dirichlet box."""
+
+
+def _kinetic(op: DiffOperator) -> Fraction:
+    """k of op = -k D^2 + U(r), the one shape the oracle solves, else :class:`DomainError`."""
+    kin = -op.coeff(2).constant_term
+    if set(op.terms) - {0, 2} or op.coeff(2) != -kin or kin <= 0:
+        raise DomainError(f"the oracle solves -k D^2 + U(r) with a constant k > 0, "
+                          f"not {op.canonical_text()}")
+    return kin
+
+
+def _operator_floats(op: DiffOperator):
+    """(k, the coefficients of U as {power: float}) of op = -k D^2 + U(r).
 
     :class:`DomainError` when a coefficient overflows a float or a non-zero one
     rounds to 0.0 (c = 1e-300 loses the kinetic term, q = 1e-300 the r^6 wall).
     """
-    if mode == "box":
-        return 1.0, {0: 0.0}
-    if params is None:
-        raise DomainError("physical modes need parameters")
-    op = radial_operator(params, m, mode, convention)
-    exact = {"kinetic": -op.coeff(2).constant_term, **op.coeff(0).d}
+    exact = {"kinetic": _kinetic(op), **op.coeff(0).d}
     try:
         floats = {e: float(v) for e, v in exact.items()}
     except OverflowError as exc:
@@ -126,20 +133,12 @@ def _power_sum(coeffs: dict, r):
     return u
 
 
-def potential_on_grid(params: Optional[PhysicalParams], m: int, mode: str,
-                      grid: Grid, convention: str = "consistent") -> np.ndarray:
-    """The full multiplicative term c^2 [V + coupling] at the interior nodes."""
-    _, mult = _operator_floats(params, m, mode, convention)
-    return _power_sum(mult, grid.nodes())
+def discretize(op: DiffOperator, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric tridiagonal system of op = -k D^2 + U(r) by central differences.
 
-
-def discretize(params: Optional[PhysicalParams], m: int, mode: str, grid: Grid,
-               convention: str = "consistent") -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric tridiagonal system: second-order central differences.
-
-    diagonal[i] = 2 c^2 hbar^2 / h^2 + U(r_i), off-diagonal = -c^2 hbar^2 / h^2.
+    diagonal[i] = 2 k / h^2 + U(r_i), off-diagonal = -k / h^2.
     """
-    kin, mult = _operator_floats(params, m, mode, convention)
+    kin, mult = _operator_floats(op)
     h2 = grid.h * grid.h
     with np.errstate(over="ignore", invalid="ignore"):
         diag = 2.0 * kin / h2 + _power_sum(mult, grid.nodes())
@@ -281,7 +280,6 @@ class OracleSpectrum:
 
     mode: str
     m: int
-    params: Optional[PhysicalParams]
     grid: Grid
     records: tuple[EigenvalueRecord, ...]
 
@@ -334,9 +332,10 @@ def refine(params: Optional[PhysicalParams], m: int, mode: str, count: int,
     if m == 0 and mode != "box":
         raise DomainError("the oracle needs m >= 1 outside the box: at m = 0 the ladder "
                           "converges at order about 0.2 and no error bar covers it")
-    v1, v2 = (eigenvalues_bisection(*discretize(params, m, mode, grid.refined(factor),
-                                                convention), count) for factor in (1, 2))
-    diag, off = discretize(params, m, mode, grid.refined(4), convention)
+    op = BOX if mode == "box" else radial_operator(params, m, mode, convention)
+    v1, v2 = (eigenvalues_bisection(*discretize(op, grid.refined(factor)), count)
+              for factor in (1, 2))
+    diag, off = discretize(op, grid.refined(4))
     # eps * ||T|| of the finest level, ||T|| = max|diag| + 2 max|off|: bisection
     # is accurate to a small multiple of it (Demmel 1997, section 5.3)
     norm = _norm(diag, off)
@@ -383,7 +382,7 @@ def refine(params: Optional[PhysicalParams], m: int, mode: str, count: int,
         prev = extrap
         records.append(EigenvalueRecord(i, float(v1[i]), float(v2[i]), float(v3[i]),
                                         float(extrap), order, float(err), tuple(flags)))
-    return OracleSpectrum(mode, m, params, grid, tuple(records))
+    return OracleSpectrum(mode, m, grid, tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -419,14 +418,14 @@ def _propagate(h: float, w: np.ndarray, y0) -> np.ndarray:
     return y / np.max(np.abs(y))
 
 
-def shoot(params: Optional[PhysicalParams], m: int, mode: str, target: float,
-          bracket: tuple[float, float], r_max: float,
-          convention: str = "consistent") -> float:
-    """Locate an eigenvalue near ``target`` as a root of the matching Wronskian.
+def shoot(op: DiffOperator, target: float, bracket: tuple[float, float],
+          r_max: float) -> float:
+    """An eigenvalue of op = -k D^2 + U(r) near ``target``: a matching Wronskian's root.
 
-    Propagates outward from the regular indicial behavior r^(m+1/2) at
-    r0 = 1e-4 r_max (the exact data f(0) = 0, f'(0) = 1 for the box, which has
-    no centrifugal term) and inward from a decaying WKB tail at r_max (a
+    Propagates outward from the regular indicial behavior r^s at r0 = 1e-4 r_max,
+    where s(s - 1) = c_-2 / k and c_-2 is the r^-2 coefficient of U (from the
+    exact data f(0) = 0, f'(0) = 1 at the origin when U has no r^-2 term, as
+    for the box), and inward from a decaying WKB tail at r_max (a
     Dirichlet node when the boundary is classically allowed), each leg in
     ``_STEPS`` fourth-order Magnus steps; raises if the bracket shows no sign
     change, which is itself informative for UNMATCHED verdicts.  The step
@@ -437,13 +436,16 @@ def shoot(params: Optional[PhysicalParams], m: int, mode: str, target: float,
     """
     from scipy.optimize import brentq
 
-    kin, mult = _operator_floats(params, m, mode, convention)
+    kin, mult = _operator_floats(op)
     r0 = 1e-4 * r_max
     probe = np.linspace(r0, r_max, 257)
-    if mode == "box":
+    centrifugal = op.coeff(0).coeff(-2) / _kinetic(op)  # s(s - 1), exactly
+    if not centrifugal:
         r0, y_origin = 0.0, (0.0, 1.0)
+    elif 4 * centrifugal >= -1:  # (f, f') of r^s, divided by r0^(s-1)
+        y_origin = (r0, 0.5 + math.sqrt(0.25 + centrifugal))
     else:
-        y_origin = (r0, m + 0.5)  # (f, f') of r^(m+1/2), divided by r0^(m-1/2)
+        raise DomainError(f"r^-2 term {centrifugal} k/r^2 is below -k/4r^2: no regular solution")
 
     def leg(start: float):
         """(step, U at each step's Gauss points) of the leg from ``start`` to r_mid."""
@@ -509,10 +511,10 @@ def ode_residual(f, d2f, potential, kinetic, x, window: tuple[float, float],
     return float(num / den)
 
 
-def residual(wf: RadialWavefunction, params: PhysicalParams, m: int, mode: str,
-             x, window: tuple[float, float] = (0.5, 2.5), samples: int = 33,
-             digits: int = 50, convention: str = "consistent") -> float:
-    """Relative residual of the closed-form wavefunction against the radial operator.
+def residual(wf: RadialWavefunction, op: DiffOperator, x,
+             window: tuple[float, float] = (0.5, 2.5), samples: int = 33,
+             digits: int = 50) -> float:
+    """Relative residual of the closed-form wavefunction against op = -k D^2 + U(r).
 
     The second derivative is formed symbolically (the gauge factor's
     logarithmic derivative is a Laurent polynomial; the series part is a
@@ -520,27 +522,23 @@ def residual(wf: RadialWavefunction, params: PhysicalParams, m: int, mode: str,
     block root this vanishes to root precision whether or not the function is
     normalizable.
     """
-    op = radial_operator(params, m, mode, convention)
-    kin = -op.coeff(2).constant_term
+    kin = _kinetic(op)
+    w = wf.gauge.log_derivative(wf.hbar)
 
     with mpmath.workdps(digits + 10):
-        mult = {e: _to_mpf(v) for e, v in op.coeff(0).d.items()}
-        h = _to_mpf(params.hbar)
-        s = _to_mpf(wf.gauge.power)
-        bg = _to_mpf(wf.gauge.gaussian)
-        aq = _to_mpf(wf.gauge.quartic)
+        mult, wc, dwc = ({e: _to_mpf(v) for e, v in lp.d.items()}
+                         for lp in (op.coeff(0), w, w.derivative()))
         poly = {e: (c if isinstance(c, mpmath.mpf) else _to_mpf(Q(c)))
                 for e, c in wf.polynomial_in_r().items()}
         dpoly = {e - 1: e * c for e, c in poly.items() if e}
         d2poly = {e - 1: e * c for e, c in dpoly.items() if e}
 
         def d2f(r):
-            # f = g q with g the gauge factor: f'' = g (q'' + 2 w' q' + (w'' + w'^2) q),
-            # w' = (log g)' = s/r - b r/h - a r^3/h
-            wp = s / r - bg * r / h - aq * r**3 / h
-            wpp = -s / r**2 - bg / h - 3 * aq * r**2 / h
-            return wf.prefactor(r) * (_power_sum(d2poly, r) + 2 * wp * _power_sum(dpoly, r)
-                                      + (wpp + wp * wp) * _power_sum(poly, r))
+            # f = g q with g the gauge factor and w = (log g)':
+            # f'' = g (q'' + 2 w q' + (w' + w^2) q)
+            wr = _power_sum(wc, r)
+            return wf.prefactor(r) * (_power_sum(d2poly, r) + 2 * wr * _power_sum(dpoly, r)
+                                      + (_power_sum(dwc, r) + wr * wr) * _power_sum(poly, r))
 
         xv = x if isinstance(x, mpmath.mpf) else _to_mpf(Q(x)) if isinstance(x, (int, Fraction)) else mpmath.mpf(x)
         return ode_residual(wf, d2f, partial(_power_sum, mult), _to_mpf(kin), xv, window, samples)
@@ -638,22 +636,22 @@ def suggest_grid(params: Optional[PhysicalParams], m: int, mode: str, count: int
     if mode == "box":
         return Grid(math.pi, n)
     try:
-        return Grid(_domain(params, m, mode, count, n, convention), n)
+        return Grid(_domain(radial_operator(params, m, mode, convention), count, n), n)
     except (OverflowError, FloatingPointError) as exc:
         raise DomainError(f"no confining domain: the float potential fails to rise above "
                           f"the sought eigenvalues ({exc})") from exc
 
 
 @np.errstate(over="raise", invalid="raise", divide="raise")
-def _domain(params, m, mode, count, n, convention) -> float:
+def _domain(op: DiffOperator, count: int, n: int) -> float:
     """r_max of :func:`suggest_grid`; a potential that overflows or never rises above
     the sought eigenvalues (free mode at q = omega = 0) raises instead of warning."""
-    kin, mult = _operator_floats(params, m, mode, convention)
+    kin, mult = _operator_floats(op)
     u = partial(_power_sum, mult)
     r_max = 4.0
     for _ in range(3):
         coarse = Grid(r_max, max(512, 2 * count))
-        diag, off = discretize(params, m, mode, coarse, convention)
+        diag, off = discretize(op, coarse)
         lam = eigenvalues_bisection(diag, off, count)
         lam_top = float(lam[-1])
         scale = max(abs(lam_top), 1.0)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import oracle, tables
-from .model import PhysicalParams
+from .model import PhysicalParams, radial_operator
 from .opcalc import Q, QPoly, commutator, monomial_matrix
 from .qes import (algebraic_hamiltonian, canonical_gauge, critical_roots,
                   crosspath_comparison, derived_recurrence, ledger_shift_direct,
@@ -168,7 +168,8 @@ def check_wavefunction_residual(fault: Optional[str] = None) -> CheckResult:
         for j in range(4):
             spec = spectrum(params, j, mode)
             for i, ph in enumerate(spec.roots_physical):
-                res = oracle.residual(wavefunction(spec, i), params, j + 2, mode, ph.mpf(50))
+                res = oracle.residual(wavefunction(spec, i), radial_operator(params, j + 2, mode),
+                                      ph.mpf(50))
                 worst = max(worst, res)
                 if res >= 1e-10:
                     return CheckResult("wavefunction-residual", False,
@@ -293,15 +294,16 @@ def check_refine_shoot(fault: Optional[str] = None) -> CheckResult:
     grid = oracle.Grid(math.pi, 1024)
     spec = oracle.refine(None, 0, "box", 2, grid)
     for rec, target in zip(spec.records, (1.0, 4.0)):
-        ev = oracle.shoot(None, 0, "box", target, (target - 0.5, target + 0.5), math.pi)
+        ev = oracle.shoot(oracle.BOX, target, (target - 0.5, target + 0.5), math.pi)
         if abs(ev - rec.extrapolated) > rec.error_estimate + 1e-7:
             return CheckResult("refine-shoot", False,
                                f"box target {target}: {ev} vs {rec.extrapolated}")
     params = PhysicalParams(M=1, omega=1, q=0)
     grid = oracle.suggest_grid(params, 2, "free", 2, n=2048)
     spec = oracle.refine(params, 2, "free", 2, grid)
+    op = radial_operator(params, 2, "free")
     for rec, target in zip(spec.records, (4.0, 8.0)):
-        ev = oracle.shoot(params, 2, "free", target, (target - 1.0, target + 1.0), grid.r_max)
+        ev = oracle.shoot(op, target, (target - 1.0, target + 1.0), grid.r_max)
         if abs(ev - rec.extrapolated) > rec.error_estimate + 1e-6:
             return CheckResult("refine-shoot", False,
                                f"oscillator target {target}: {ev} vs {rec.extrapolated}")

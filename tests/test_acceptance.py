@@ -18,7 +18,7 @@ import pytest
 
 from sextic import oracle as oracle_mod
 from sextic.cli import main
-from sextic.model import PhysicalParams
+from sextic.model import PhysicalParams, radial_operator
 from sextic.opcalc import QPoly
 from sextic.qes import (critical_roots, derived_recurrence, gauge_search,
                         polynomial_family, spectrum, wavefunction,
@@ -132,7 +132,7 @@ def test_criterion_6_closed_form_residuals():
             spec = spectrum(NAT, j, mode, digits=50)
             for i, ph in enumerate(spec.roots_physical):
                 wf = wavefunction(spec, i)
-                res = oracle_mod.residual(wf, NAT, j + 2, mode, ph.mpf(50),
+                res = oracle_mod.residual(wf, radial_operator(NAT, j + 2, mode), ph.mpf(50),
                                           window=(0.5, 2.5))
                 worst = max(worst, res)
                 count += 1
@@ -161,13 +161,13 @@ def test_criterion_7_oracle_validation():
     assert all(o is not None and abs(o - 2.0) <= 0.3 for o in orders)
 
     for rec, target in zip(box.records[:2], (1.0, 4.0)):
-        ev = oracle_mod.shoot(None, 0, "box", target, (target - 0.5, target + 0.5),
+        ev = oracle_mod.shoot(oracle_mod.BOX, target, (target - 0.5, target + 0.5),
                               math.pi)
         assert abs(ev - rec.extrapolated) <= rec.error_estimate + 1e-7
     grid = oracle_mod.suggest_grid(q0, 2, "free", 2, n=1024)
     spec = oracle_mod.refine(q0, 2, "free", 2, grid)
     for rec, target in zip(spec.records, (4.0, 8.0)):
-        ev = oracle_mod.shoot(q0, 2, "free", target, (target - 1, target + 1),
+        ev = oracle_mod.shoot(radial_operator(q0, 2, "free"), target, (target - 1, target + 1),
                               grid.r_max)
         assert abs(ev - rec.extrapolated) <= rec.error_estimate + 1e-6
     dt = time.time() - t0
@@ -244,7 +244,7 @@ def test_criterion_10_performance():
 
     # 20000-point solve for 10 eigenvalues
     grid = oracle_mod.Grid(4.0, 20000)
-    diag, off = oracle_mod.discretize(NAT, 3, "field", grid)
+    diag, off = oracle_mod.discretize(radial_operator(NAT, 3, "field"), grid)
     oracle_mod.sturm_count(diag, off, 0.0)  # warm-up: one LAPACK dstebz call, untimed
     t1 = time.time()
     vals = oracle_mod.eigenvalues_bisection(diag, off, 10)

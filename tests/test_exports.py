@@ -1,14 +1,20 @@
 """Every name a module exports in ``__all__`` resolves, so no retired name lingers,
-every function the benchmark tracer wraps exists, and no module imports scipy when
-the package loads."""
+every function the benchmark tracer wraps exists and takes the arguments the
+benchmark passes, and no module imports scipy when the package loads."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
+import math
 import pkgutil
+import sys
 from pathlib import Path
 
+import pytest
+
 import sextic
+from sextic import oracle
 
 MODULES = [importlib.import_module(f"sextic.{info.name}")
            for info in pkgutil.iter_modules(sextic.__path__)]
@@ -25,13 +31,20 @@ def test_every_exported_name_resolves():
         assert len(set(mod.__all__)) == len(mod.__all__), f"{mod.__name__}.__all__ repeats a name"
 
 
+def _perfbench(name):
+    """perfbench/NAME.py, loaded as the module ``perfbench_NAME``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_traced_function_resolves():
     # perfbench/tracing.py wraps functions by (module, attribute): a renamed or
     # removed one would leave its metric silently empty under --trace 1
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _perfbench("tracing")
     missing = [(mod, attr) for mod, attr in tracing._spans()
                if not callable(getattr(importlib.import_module(mod), attr, None))]
     assert not missing, f"traced functions that do not resolve: {missing}"
@@ -55,3 +68,21 @@ def test_no_module_imports_scipy_at_import_time():
             found += [f"{path.name}:{node.lineno}" for name in names
                       if name == "scipy" or name.startswith("scipy.")]
     assert not found, f"module-level scipy imports: {found}"
+
+
+def test_the_benchmark_call_shapes_bind():
+    # perfbench/workloads.py calls refine and suggest_grid in these shapes, and
+    # perfbench/tracing.py reads refine's fifth positional argument as the grid
+    workloads = _perfbench("workloads")
+    box = next(item for item in workloads.make_inputs("ladder", 7)
+               if item.kind == "box" and item.r_max is None)
+    grid = oracle.Grid(math.pi, workloads.LADDER_N)
+    bound = inspect.signature(oracle.refine).bind(box.params, box.m, box.mode, box.count, grid)
+    assert bound.arguments["grid"] is grid
+    inspect.signature(oracle.suggest_grid).bind(box.params, box.m, box.mode, box.count,
+                                                n=workloads.LADDER_N)
+    spec = workloads.run_one("ladder", box)
+    assert spec.grid == grid
+    exact = workloads.closed_form(box, grid.r_max)
+    assert [rec.extrapolated for rec in spec.records] == \
+        pytest.approx(exact, abs=max(rec.error_estimate for rec in spec.records))

@@ -16,12 +16,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sextic.model import DomainError, PhysicalParams
-from sextic.opcalc import GaugeAnsatz
-from sextic.oracle import (DEFAULT_N, EigenvalueRecord, Grid, OracleSpectrum,
+from sextic.model import DomainError, PhysicalParams, radial_operator
+from sextic.opcalc import DiffOperator, GaugeAnsatz, LaurentPoly
+from sextic.oracle import (BOX, DEFAULT_N, EigenvalueRecord, Grid, OracleSpectrum,
                            discretize, eigenvalues_bisection, match_report,
-                           ode_residual, potential_on_grid, refine, residual,
-                           shoot, sturm_count, suggest_grid)
+                           ode_residual, refine, residual, shoot, sturm_count,
+                           suggest_grid)
 from sextic.qes import RadialWavefunction, spectrum, wavefunction
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,7 +40,7 @@ def natural(**kw):
 
 def test_discretize_box_structure():
     g = Grid(math.pi, 64)
-    diag, off = discretize(None, 0, "box", g)
+    diag, off = discretize(BOX, g)
     assert len(diag) == 63 and len(off) == 62
     h2 = g.h * g.h
     assert np.all(diag == 2.0 / h2)
@@ -51,7 +51,8 @@ def test_discretize_box_structure():
 def test_discretize_potential_alignment():
     p = natural()
     g = Grid(4.0, 128)
-    u = potential_on_grid(p, 2, "free", g)
+    diag, _ = discretize(radial_operator(p, 2, "free"), g)
+    u = diag - 2 * float(p.c * p.hbar) ** 2 / g.h**2
     r1 = g.h
     from sextic.model import potential_free, coupling_constant
     want = float(potential_free(p, 2, Q(r1).limit_denominator(10**12)) +
@@ -157,7 +158,7 @@ def test_bisection_against_lapack():
 
 def test_box_single_grid_accuracy():
     # pre-extrapolation accuracy at n = 4096
-    diag, off = discretize(None, 0, "box", Grid(math.pi, 4096))
+    diag, off = discretize(BOX, Grid(math.pi, 4096))
     vals = eigenvalues_bisection(diag, off, 3)
     assert vals == pytest.approx([1.0, 4.0, 9.0], abs=1e-5)
 
@@ -233,9 +234,9 @@ def _record_stebz_calls(monkeypatch):
     return calls
 
 
-def _assert_levels_match_direct(spec):
+def _assert_levels_match_direct(spec, op):
     for factor, level in ((1, "value_h"), (2, "value_h2"), (4, "value_h4")):
-        diag, off = discretize(spec.params, spec.m, spec.mode, spec.grid.refined(factor))
+        diag, off = discretize(op, spec.grid.refined(factor))
         got = np.array([getattr(rec, level) for rec in spec.records])
         assert np.all(np.abs(got - _direct(diag, off, len(got))) <= _floor(diag, off) / 4), level
 
@@ -252,11 +253,13 @@ def test_every_level_agrees_with_a_direct_solve(n, m, count, mode, M, omega, q, 
     # the tolerance eps * ||T|| / 64 and the brackets of the finest level move no
     # level by more than a quarter of its own rounding floor
     p = PhysicalParams(M=M, omega=omega, q=q, c=c, hbar=hbar)
-    _assert_levels_match_direct(refine(p, m, mode, count, suggest_grid(p, m, mode, count, n=n)))
-    _assert_levels_match_direct(refine(None, 0, "box", count, Grid(length, n)))
+    _assert_levels_match_direct(refine(p, m, mode, count, suggest_grid(p, m, mode, count, n=n)),
+                                radial_operator(p, m, mode))
+    _assert_levels_match_direct(refine(None, 0, "box", count, Grid(length, n)), BOX)
     p0 = PhysicalParams(M=M, omega=omega, q=0, c=c, hbar=hbar)
     _assert_levels_match_direct(refine(p0, m, "free", count,
-                                       suggest_grid(p0, m, "free", count, n=n)))
+                                       suggest_grid(p0, m, "free", count, n=n)),
+                                radial_operator(p0, m, "free"))
 
 
 @pytest.mark.parametrize("params, m, mode, count", [
@@ -282,19 +285,19 @@ def test_overlapping_brackets_fall_back_to_the_plain_solve(monkeypatch):
     calls = _record_stebz_calls(monkeypatch)
     spec = refine(p, 2, "free", 5, grid)
     assert (4 * grid.n - 1, "i") in calls
-    diag, off = discretize(p, 2, "free", grid.refined(4))
+    diag, off = discretize(radial_operator(p, 2, "free"), grid.refined(4))
     assert [rec.value_h4 for rec in spec.records] == list(eigenvalues_bisection(diag, off, 5))
 
 
 def test_the_plain_solve_owns_its_values():
     # dstebz fills a buffer of n values: a view of it would keep all n alive
-    diag, off = discretize(None, 0, "box", Grid(math.pi, 8192))
+    diag, off = discretize(BOX, Grid(math.pi, 8192))
     values = eigenvalues_bisection(diag, off, 3)
     assert values.flags.owndata and values.base is None
 
 
 def test_a_missed_bracket_falls_back_to_the_plain_solve(monkeypatch):
-    diag, off = discretize(None, 0, "box", Grid(math.pi, 512))
+    diag, off = discretize(BOX, Grid(math.pi, 512))
     plain = eigenvalues_bisection(diag, off, 3)
     lam = _direct(diag, off, 4)
     width = np.full(3, 0.1)
@@ -327,7 +330,7 @@ def test_bisection_stays_within_a_quarter_floor_of_extended_precision():
     # the truth: eigenvalues of the float system, bisected by 30-digit Sturm counts
     p = PhysicalParams(M=Q(8, 3), omega=2, q=4, hbar=Q(1, 2))
     grid = suggest_grid(p, 2, "field", 3, n=512)
-    diag, off = discretize(p, 2, "field", grid.refined(4))
+    diag, off = discretize(radial_operator(p, 2, "field"), grid.refined(4))
     floor = _floor(diag, off)
     plain = eigenvalues_bisection(diag, off, 3)
     bracketed = eigenvalues_bisection(diag, off, 3, (plain + 3 * floor, np.full(3, 20 * floor)))
@@ -499,14 +502,14 @@ def test_default_base_is_1024():
 
 
 def test_shoot_box():
-    ev = shoot(None, 0, "box", 1.0, (0.5, 1.5), math.pi)
+    ev = shoot(BOX, 1.0, (0.5, 1.5), math.pi)
     assert abs(ev - 1.0) < 1e-9
 
 
 def test_shoot_oscillator():
     p = natural(q=0)
     grid = suggest_grid(p, 2, "free", 2, n=512)
-    ev = shoot(p, 2, "free", 4.0, (3.0, 5.0), grid.r_max)
+    ev = shoot(radial_operator(p, 2, "free"), 4.0, (3.0, 5.0), grid.r_max)
     assert abs(ev - 4.0) < 1e-8
 
 
@@ -516,26 +519,26 @@ def test_shoot_agrees_with_refine():
     spec = refine(p, 2, "field", 3, grid)
     for rec in spec.records[:2]:
         lo, hi = rec.extrapolated - 0.5, rec.extrapolated + 0.5
-        ev = shoot(p, 2, "field", rec.extrapolated, (lo, hi), grid.r_max)
+        ev = shoot(radial_operator(p, 2, "field"), rec.extrapolated, (lo, hi), grid.r_max)
         assert abs(ev - rec.extrapolated) <= rec.error_estimate + 1e-6
 
 
 def test_shoot_no_sign_change_is_informative():
     with pytest.raises(DomainError, match="no Wronskian sign change"):
-        shoot(None, 0, "box", 2.0, (1.7, 2.3), math.pi)
+        shoot(BOX, 2.0, (1.7, 2.3), math.pi)
 
 
 def _shoot_cases():
     """verify's refine-shoot cases and the field levels of test_shoot_agrees_with_refine."""
-    cases = [(None, 0, "box", t, (t - 0.5, t + 0.5), math.pi) for t in (1.0, 4.0)]
+    cases = [(BOX, t, (t - 0.5, t + 0.5), math.pi) for t in (1.0, 4.0)]
     q0 = natural(q=0)
     r_max = suggest_grid(q0, 2, "free", 2, n=2048).r_max
-    cases += [(q0, 2, "free", t, (t - 1.0, t + 1.0), r_max) for t in (4.0, 8.0)]
+    cases += [(radial_operator(q0, 2, "free"), t, (t - 1.0, t + 1.0), r_max) for t in (4.0, 8.0)]
     p = natural()
     grid = suggest_grid(p, 2, "field", 3, n=1024)
     for rec in refine(p, 2, "field", 3, grid).records[:2]:
         x = rec.extrapolated
-        cases.append((p, 2, "field", x, (x - 0.5, x + 0.5), grid.r_max))
+        cases.append((radial_operator(p, 2, "field"), x, (x - 0.5, x + 0.5), grid.r_max))
     return cases
 
 
@@ -551,7 +554,7 @@ def test_shoot_converges_in_its_step_count(monkeypatch):
 @pytest.mark.parametrize("x", [1.0, 4.0, 9.0])
 def test_shoot_box_starts_at_the_origin(x):
     # sin(sqrt(x) r) on [0, pi]: the exact data (0, 1) at r = 0, no r0 offset
-    assert abs(shoot(None, 0, "box", x, (x - 0.5, x + 0.5), math.pi) - x) < 1e-11
+    assert abs(shoot(BOX, x, (x - 0.5, x + 0.5), math.pi) - x) < 1e-11
 
 
 def test_shoot_wide_r_max_is_bounded():
@@ -560,7 +563,7 @@ def test_shoot_wide_r_max_is_bounded():
     rec = refine(p, 2, "field", 3, grid).records[0]
     x = rec.extrapolated
     t0 = time.perf_counter()
-    ev = shoot(p, 2, "field", x, (x - 0.5, x + 0.5), 20.0)
+    ev = shoot(radial_operator(p, 2, "field"), x, (x - 0.5, x + 0.5), 20.0)
     assert time.perf_counter() - t0 < 2.0
     assert abs(ev - x) < 1e-8
 
@@ -571,7 +574,39 @@ def test_shoot_wide_r_max_is_bounded():
 ])
 def test_shoot_refuses_an_overflowing_potential(r_max, message):
     with pytest.raises(DomainError, match=message + "; reduce r_max"):
-        shoot(natural(), 2, "field", 6.8, (6.3, 7.3), r_max)
+        shoot(radial_operator(natural(), 2, "field"), 6.8, (6.3, 7.3), r_max)
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2])
+def test_isotropic_oscillator_an_operator_the_model_cannot_build(ell):
+    # -D^2 + l(l+1)/r^2 + r^2 has the eigenvalues 4n + 2l + 3.  At l = 0 it has no
+    # r^-2 term, so shooting starts at the origin; at l = 1, 2 it starts as r^(l+1),
+    # an integer power that the model's r^(m+1/2) never gives
+    op = DiffOperator({2: LaurentPoly.const(-1), 0: LaurentPoly({-2: ell * (ell + 1), 2: 1})})
+    exact = [4 * n + 2 * ell + 3 for n in range(3)]
+    for e in exact:
+        assert shoot(op, e, (e - 0.5, e + 0.5), 8.0) == pytest.approx(e, rel=1e-9)
+    assert eigenvalues_bisection(*discretize(op, Grid(8.0, 4096)), 3) == \
+        pytest.approx(exact, rel=1e-5)
+
+
+@pytest.mark.parametrize("op", [
+    DiffOperator({2: LaurentPoly.const(-1), 1: LaurentPoly.const(1)}),
+    DiffOperator({2: LaurentPoly({0: -1, 2: -1})}),
+    DiffOperator({2: LaurentPoly.const(1)}),
+], ids=["first-order-term", "varying-kinetic", "negative-kinetic"])
+def test_the_oracle_refuses_an_operator_it_cannot_solve(op):
+    with pytest.raises(DomainError, match="the oracle solves -k D"):
+        discretize(op, Grid(4.0, 64))
+    with pytest.raises(DomainError, match="the oracle solves -k D"):
+        shoot(op, 1.0, (0.5, 1.5), 4.0)
+
+
+def test_shoot_refuses_a_centrifugal_term_below_the_limit():
+    # -D^2 - 1/r^2: s(s - 1) = -1 has no real root, so no regular solution
+    op = DiffOperator({2: LaurentPoly.const(-1), 0: LaurentPoly({-2: -1, 2: 1})})
+    with pytest.raises(DomainError, match="no regular solution"):
+        shoot(op, 1.0, (0.5, 1.5), 4.0)
 
 
 def _run_fresh(code):
@@ -619,7 +654,7 @@ def test_exact_commands_never_load_scipy():
 def test_residual_analytic_oscillator_state():
     wf = RadialWavefunction(GaugeAnsatz(Q(5, 2), 1, 0), Q(2), (Q(1),), 2, Q(1),
                             "normalizable")
-    assert residual(wf, natural(q=0), 2, "free", 4) < 1e-12
+    assert residual(wf, radial_operator(natural(q=0), 2, "free"), 4) < 1e-12
 
 
 def test_residual_negative_control():
@@ -633,7 +668,7 @@ def test_residual_field_j0_block_root():
     p = natural()
     spec = spectrum(p, 0, "field")
     wf = wavefunction(spec, 0)
-    assert residual(wf, p, 2, "field", spec.roots_physical[0].midpoint) < 1e-10
+    assert residual(wf, radial_operator(p, 2, "field"), spec.roots_physical[0].midpoint) < 1e-10
 
 
 def test_residual_every_block_root_j_le_2():
@@ -643,7 +678,7 @@ def test_residual_every_block_root_j_le_2():
             spec = spectrum(p, j, mode)
             for i, ph in enumerate(spec.roots_physical):
                 wf = wavefunction(spec, i)
-                assert residual(wf, p, j + 2, mode, ph.mpf(50)) < 1e-10
+                assert residual(wf, radial_operator(p, j + 2, mode), ph.mpf(50)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +690,7 @@ def _fake_oracle(mode, m, values):
     from sextic.oracle import EigenvalueRecord, OracleSpectrum
     recs = tuple(EigenvalueRecord(i, v, v, v, v, 2.0, 1e-9)
                  for i, v in enumerate(values))
-    return OracleSpectrum(mode, m, None, Grid(4.0, 64), recs)
+    return OracleSpectrum(mode, m, Grid(4.0, 64), recs)
 
 
 def test_match_identical_lists():
@@ -693,7 +728,7 @@ def test_match_entries_name_the_oracle_flags():
                              ("near-degenerate",)),
             EigenvalueRecord(1, vals[1], vals[1], vals[1], vals[1], 3.8, 1e-9,
                              ("order-out-of-window", "rounding-limited")))
-    rep = match_report(spec, OracleSpectrum("field", 3, None, Grid(4.0, 64), recs), 1e-4)
+    rep = match_report(spec, OracleSpectrum("field", 3, Grid(4.0, 64), recs), 1e-4)
     first, second = rep.entries
     assert first.verdict == "MATCHED" and first.oracle_flags == ("near-degenerate",)
     # the untrusted record takes no part: root 1 meets record 0
@@ -708,11 +743,11 @@ def test_a_record_whose_bar_exceeds_the_tolerance_decides_no_verdict():
     bars = [tol * max(1.0, abs(v)) for v in vals]
     recs = (EigenvalueRecord(0, vals[0], vals[0], vals[0], vals[0], 2.0, bars[0] * 1.01),
             EigenvalueRecord(1, vals[1], vals[1], vals[1], vals[1], 2.0, bars[1] * 0.99))
-    rep = match_report(spec, OracleSpectrum("field", 3, None, Grid(4.0, 64), recs), tol)
+    rep = match_report(spec, OracleSpectrum("field", 3, Grid(4.0, 64), recs), tol)
     assert [e.oracle_index for e in rep.entries] == [1, 1]
     assert [e.verdict for e in rep.entries] == ["UNMATCHED", "MATCHED"]
     wide = tuple(EigenvalueRecord(i, v, v, v, v, 2.0, 1.0) for i, v in enumerate(vals))
-    rep = match_report(spec, OracleSpectrum("field", 3, None, Grid(4.0, 64), wide), tol)
+    rep = match_report(spec, OracleSpectrum("field", 3, Grid(4.0, 64), wide), tol)
     assert all(e.nearest_oracle is None and e.verdict == "UNMATCHED" for e in rep.entries)
 
 
@@ -721,7 +756,7 @@ def test_operator_floats_reject_a_lost_or_overflowing_coefficient():
     for params in (natural(c=Q(1, 10**300)), natural(q=Q(1, 10**300)),
                    natural(c=10**300), natural(M=10**300)):
         with pytest.raises(DomainError, match="float"):
-            discretize(params, 3, "free", grid)
+            discretize(radial_operator(params, 3, "free"), grid)
     with pytest.raises(DomainError, match="no confining domain"):
         suggest_grid(natural(q=0, omega=0), 2, "free", 2)
 

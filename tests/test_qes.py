@@ -687,6 +687,27 @@ def test_gauge_search_regular_branch_never_truncates():
         assert not c.diagnostics["truncates"]
 
 
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(M=_positive, c=_positive, hbar=_positive, omega=_positive, q=_positive,
+       negative_q=st.booleans())
+def test_no_regular_candidate_closes_its_module(M, c, hbar, omega, q, negative_q):
+    # a block closes its module when gamma(j + 1) = 0.  At r = 0 the exponents are
+    # s = 1/2 +- m, and on the regular branch s = m + 1/2 no block closes, so every
+    # closing one diverges at the origin: no block eigenfunction is a bound state
+    p = PhysicalParams(M=M, c=c, hbar=hbar, omega=omega, q=-q if negative_q else q)
+    closing = 0
+    for mode in ("free", "field"):
+        for j in range(7):
+            for cand in gauge_search(p, j, mode):
+                closes = not cand.recurrence.gamma(Q(j + 1))
+                assert not (closes and cand.gauge.power == j + Q(5, 2)), (mode, j, cand.gauge)
+                if closes:
+                    closing += 1
+                    assert cand.diagnostics["normalizability"].startswith(
+                        "divergent-at-origin"), (mode, j, cand.gauge)
+    assert closing
+
+
 def test_gauge_search_includes_decaying_origin_regular_candidate():
     cands = gauge_search(natural(), 1, "field", include_failures=True)
     classes = {(c.gauge.power > 0, c.gauge.quartic > 0): c for c in cands}
