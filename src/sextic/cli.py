@@ -192,16 +192,14 @@ def _build_config(args: argparse.Namespace, cmd: Command) -> RunConfig:
 
 
 def _select_gauge(cfg: RunConfig, j: int):
-    """The gauge ``--gauge`` selects and its derived recurrence: the canonical
+    """The derived recurrence of the gauge ``--gauge`` selects: the canonical
     gauge's, or the chosen gauge-search candidate's, which the search derived."""
     if cfg.gauge == "auto":
-        gauge = canonical_gauge(cfg.params, j + 2, cfg.mode)
-        return gauge, derived_recurrence(cfg.params, j, gauge, cfg.mode, cfg.convention)
+        return derived_recurrence(cfg.params, j, None, cfg.mode, cfg.convention)
     candidates = gauge_search(cfg.params, j, cfg.mode, convention=cfg.convention)
     if int(cfg.gauge) >= len(candidates):
         raise ConfigError(f"gauge index {cfg.gauge} out of range 0..{len(candidates) - 1}")
-    chosen = candidates[int(cfg.gauge)]
-    return chosen.gauge, chosen.recurrence
+    return candidates[int(cfg.gauge)].recurrence
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +238,7 @@ def _term_diff(derived, published) -> list[dict]:
 def cmd_polys(cfg: RunConfig) -> dict:
     j = cfg.level()
     cfg.params.require_qes()
-    _, rec = _select_gauge(cfg, j)
-    return _polys(cfg, polynomial_family(rec))
+    return _polys(cfg, polynomial_family(_select_gauge(cfg, j)))
 
 
 def _polys(cfg: RunConfig, fam_d) -> dict:
@@ -282,8 +279,8 @@ def _block(cfg: RunConfig, source: str = "derived") -> QesSpectrum:
                           "--source published has none")
     j = cfg.level()
     cfg.params.require_qes()
-    gauge, rec = _select_gauge(cfg, j) if source == "derived" else (None, None)
-    return spectrum(cfg.params, j, cfg.mode, source, gauge, cfg.digits, cfg.convention, rec)
+    rec = _select_gauge(cfg, j) if source == "derived" else None
+    return spectrum(cfg.params, j, cfg.mode, source, cfg.digits, rec)
 
 
 def cmd_spectrum(cfg: RunConfig) -> dict:
@@ -379,9 +376,8 @@ def cmd_compare(cfg: RunConfig) -> dict:
         "match_report": _run_match(cfg, spec),
     }
     if cfg.mode == "free":
-        canonical = spec.gauge == canonical_gauge(cfg.params, j + 2, "free")
         report["module_hamiltonian"] = module_hamiltonian_json(
-            crosspath_comparison(cfg.params, j, spec.recurrence if canonical else None))
+            crosspath_comparison(cfg.params, j, spec.recurrence))
     return report
 
 

@@ -225,9 +225,9 @@ def potential_coefficients(params: PhysicalParams, m: int, mode: str,
 
 
 def _eval_potential(cf: Mapping[int, Fraction], r) -> Fraction:
+    r = parse_rational(r)
     if r <= 0:
         raise DomainError("r must be positive")
-    r = parse_rational(r) if not isinstance(r, Fraction) else r
     return sum(v * r**e for e, v in cf.items())
 
 

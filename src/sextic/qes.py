@@ -143,7 +143,8 @@ class ThreeTermRecurrence:
     ``variable`` records what the eigenvalue symbol x means: "physical" is
     eps^2 itself, "reduced" is the swept operator's eigenvalue, mapped to
     eps^2 by ``ledger``.  ``operator`` is the reduced rho-operator the band
-    was read from (derived recurrences only).
+    was read from and ``gauge`` the gauge that conjugated it (derived
+    recurrences only).
     """
 
     j: int
@@ -156,6 +157,7 @@ class ThreeTermRecurrence:
     variable: str
     ledger: SpectralLedger
     operator: Optional[DiffOperator] = field(default=None, compare=False)
+    gauge: Optional[GaugeAnsatz] = None
 
     def coefficients_at(self, k: int) -> tuple[Fraction, Fraction, Fraction]:
         kk = Q(k)
@@ -243,7 +245,7 @@ def derived_recurrence(params: PhysicalParams, j: int, gauge: GaugeAnsatz | None
     reduced = change_variable_sqrt(conjugated, 2 * params.c * params.hbar)
     alpha, beta, gamma, trunc = series_recurrence(reduced)
     return ThreeTermRecurrence(j, alpha, beta, gamma, trunc, "derived", mode, "reduced",
-                               ledger, reduced)
+                               ledger, reduced, gauge)
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +255,16 @@ def derived_recurrence(params: PhysicalParams, j: int, gauge: GaugeAnsatz | None
 
 @dataclass(frozen=True)
 class PolynomialFamily:
-    """Monic energy polynomials P_0..P_{j+1} generated by a three-term recurrence.
+    """Monic energy polynomials P_0..P_{j+1}: the continuants of a three-term band.
 
-    P_0 = 1 and deg P_k = k.  The last entry is the critical polynomial whose
-    roots form the algebraic block.  When the recurrence's own row j is
-    degenerate (published free mode), the critical polynomial is the
-    truncation constraint (x - beta_j) P_j - gamma_j P_{j-1}, flagged in
-    ``degenerate_rows``.
+    P_0 = 1, P_1 = x - b_0 and P_{k+1} = (x - b_k) P_k - c_k P_{k-1}, with
+    b_k = beta_k and c_k = alpha_{k-1} gamma_k.  The last entry is the
+    critical polynomial whose roots form the algebraic block.  Row j reads
+    alpha_{j-1}, never alpha_j, so the published free-mode degeneracy
+    alpha_j = 0 (flagged in ``degenerate_rows``) needs no special case.
+    ``jacobi`` is (b, c) when every c_k > 0, a Jacobi matrix whose
+    eigenvalues are the critical roots; None when the band cannot be
+    symmetrized.
     """
 
     j: int
@@ -267,6 +272,7 @@ class PolynomialFamily:
     variable: str
     ledger: SpectralLedger
     degenerate_rows: tuple[int, ...] = ()
+    jacobi: Optional[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]] = None
 
     @property
     def critical(self) -> QPoly:
@@ -281,38 +287,40 @@ class PolynomialFamily:
         """Rewrite every polynomial against the physical eps^2, monic."""
         if self.variable == "physical":
             return self
+        jacobi = self.jacobi and (tuple(map(self.ledger.to_physical, self.jacobi[0])),
+                                  self.jacobi[1])
         return PolynomialFamily(self.j, tuple(map(self._physical, self.polys)), "physical",
-                                SpectralLedger(), self.degenerate_rows)
+                                SpectralLedger(), self.degenerate_rows, jacobi)
 
     def _physical(self, p: QPoly) -> QPoly:
         return p if self.variable == "physical" else p.shifted(-self.ledger.shift)
 
 
 def polynomial_family(rec: ThreeTermRecurrence) -> PolynomialFamily:
-    """Run the recurrence symbolically in x, exactly, and make every P_k monic.
-
-    The unscaled P_k are :func:`run_recurrence`'s.  A vanishing alpha_k for
-    k < j stops construction (error carries the row); a vanishing alpha_j is
-    the published free-mode degeneracy and is handled by the constraint-row
-    convention.
-    """
-    polys = run_recurrence(rec, QPoly.x(), rec.j + 1)
-    for k, p in enumerate(polys):
-        if p.degree != k:
-            raise FamilyConstructionError(f"degree of P_{k} is {p.degree}", row=k)
-    return PolynomialFamily(rec.j, tuple(p.monic() for p in polys), rec.variable,
-                            rec.ledger, rec.degenerate_rows())
+    """The monic continuants of the band, exactly in x.  A vanishing alpha_k
+    for k < j decouples the band: construction stops, the error carrying the row."""
+    band = [rec.coefficients_at(k) for k in range(rec.j + 1)]
+    x, b, c = QPoly.x(), tuple(beta for _, beta, _ in band), []
+    polys = [QPoly([1]), x - b[0]]
+    for k in range(1, rec.j + 1):
+        if not band[k - 1][0]:
+            raise FamilyConstructionError(
+                f"recurrence row {k - 1} is degenerate: cannot generate P_{k}", row=k - 1)
+        c.append(band[k - 1][0] * band[k][2])
+        polys.append((x - b[k]) * polys[-1] - c[-1] * polys[-2])
+    jacobi = (b, tuple(c)) if all(v > 0 for v in c) else None
+    return PolynomialFamily(rec.j, tuple(polys), rec.variable, rec.ledger,
+                            rec.degenerate_rows(), jacobi)
 
 
 def run_recurrence(rec: ThreeTermRecurrence, x, rows: int, band=None) -> list:
-    """f_0 = 1, f_1, ..., f_rows of the recurrence, in the ring of ``x``.
+    """The series coefficients f_0 = 1, f_1, ..., f_rows of the recurrence at ``x``.
 
-    ``x`` is QPoly.x() for the energy polynomials, or a Fraction or mpf root
-    for the series coefficients there (exact band coefficients enter mpf
-    runs as mpf).  ``band`` is the rows' (alpha_k, beta_k, gamma_k) already
-    in that ring, for a caller that runs the recurrence at many roots.  A
-    vanishing alpha_k stops the run, except in row j, whose unscaled
-    right-hand side is then the truncation constraint.
+    ``x`` is a Fraction or mpf root (exact band coefficients enter mpf runs
+    as mpf), or QPoly.x() for the unscaled f_k as polynomials in x.
+    ``band`` is the rows' (alpha_k, beta_k, gamma_k) already in that ring,
+    for a caller that runs the recurrence at many roots.  Every alpha_k of
+    rows 0..rows-1 must be nonzero.
     """
     if band is None:
         scalar = (lambda v: v) if isinstance(x, (QPoly, Fraction, int)) else _to_mpf
@@ -320,12 +328,8 @@ def run_recurrence(rec: ThreeTermRecurrence, x, rows: int, band=None) -> list:
     fs, prev = [x * 0 + 1], x * 0
     for k in range(rows):
         ak, bk, gk = band[k]
-        raw = (x - bk) * fs[-1] - gk * prev
-        if ak == 0 and k < rec.j:
-            raise FamilyConstructionError(
-                f"recurrence row {k} is degenerate: cannot generate P_{k + 1}", row=k)
-        prev = fs[-1]
-        fs.append(raw / ak if ak else raw)
+        fs.append(((x - bk) * fs[-1] - gk * prev) / ak)
+        prev = fs[-2]
     return fs
 
 
@@ -542,20 +546,9 @@ def isolate_real_roots(p: QPoly, digits: int = 50, jacobi=None) -> list[RootEncl
     raise QesError(f"degree-{p.degree} roots not certified at {dps // 2} digits")
 
 
-def _jacobi(family: PolynomialFamily):
-    """(b_k, c_k) of P_{k+1} = (x - b_k) P_k - c_k P_{k-1}, read off the two top
-    coefficients of each P_k; None unless every c_k > 0 (symmetrizable)."""
-    polys = family.polys
-    s = [p.coeff(k - 1) / p.leading for k, p in enumerate(polys)]
-    t = [p.coeff(k - 2) / p.leading for k, p in enumerate(polys)]
-    b = [s[k] - s[k + 1] for k in range(family.j + 1)]
-    c = [t[k] - b[k] * s[k] - t[k + 1] for k in range(1, family.j + 1)]
-    return (b, c) if all(v > 0 for v in c) else None
-
-
 def critical_roots(family: PolynomialFamily, digits: int = 50) -> list[RootEnclosure]:
     """Certified enclosures of the j+1 roots of the critical polynomial."""
-    return isolate_real_roots(family.critical, digits, _jacobi(family))
+    return isolate_real_roots(family.critical, digits, family.jacobi)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +561,8 @@ class QesSpectrum:
     """The algebraic block at level j: roots, energies, expansion coefficients.
 
     ``recurrence`` and ``family`` are the records the block was built from;
-    the critical polynomial, its variable and the ledger are read from them.
+    the critical polynomial, its variable, the ledger and the gauge (None for
+    a published block) are read from them.
     """
 
     params: PhysicalParams
@@ -578,7 +572,6 @@ class QesSpectrum:
     roots_physical: tuple[RootEnclosure, ...]
     energies: tuple[SpectralValue, ...]
     coefficients: tuple[tuple[str, ...], ...]
-    gauge: Optional[GaugeAnsatz]
     digits: int
 
     j = property(lambda self: self.recurrence.j)
@@ -586,28 +579,27 @@ class QesSpectrum:
     mode = property(lambda self: self.recurrence.mode)
     source = property(lambda self: self.recurrence.source)
     ledger = property(lambda self: self.recurrence.ledger)
+    gauge = property(lambda self: self.recurrence.gauge)
     critical = property(lambda self: self.family.critical)
     variable = property(lambda self: self.family.variable)
 
 
 def spectrum(params: PhysicalParams, j: int, mode: str, source: str = "derived",
-             gauge: GaugeAnsatz | None = None, digits: int = 50,
-             convention: str = "consistent",
+             digits: int = 50,
              recurrence: ThreeTermRecurrence | None = None) -> QesSpectrum:
     """Assemble the algebraic block: isolate roots, map through the ledger,
     attach energy pairs (or subcritical flags) and series coefficients.
 
-    ``recurrence`` is the derived recurrence of ``gauge`` when the caller
-    already holds it (a gauge-search candidate's); it is not derived again.
+    ``recurrence`` is the derived recurrence to use when the caller already
+    holds one (a gauge-search candidate's, or one of another field-constant
+    convention); else the canonical gauge's is derived.
     """
     params.require_qes()
     params = params.for_mode(mode)
     if source == "derived":
-        gauge = gauge if gauge is not None else canonical_gauge(params, j + 2, mode)
-        rec = recurrence or derived_recurrence(params, j, gauge, mode, convention)
+        rec = recurrence or derived_recurrence(params, j, None, mode)
     elif source == "published":
         rec = published_recurrence(params, j, mode)
-        gauge = None
     else:
         raise QesError(f"unknown source {source!r}")
     fam = polynomial_family(rec)
@@ -624,7 +616,7 @@ def spectrum(params: PhysicalParams, j: int, mode: str, source: str = "derived",
             cs = run_recurrence(rec, r.mpf(digits), j, band)
             coeff_rows.append(tuple(mpmath.nstr(c, digits, strip_zeros=False) for c in cs))
     return QesSpectrum(params, rec, fam, tuple(roots), physical, energies,
-                       tuple(coeff_rows), gauge, digits)
+                       tuple(coeff_rows), digits)
 
 
 @dataclass(frozen=True)
@@ -789,8 +781,8 @@ def crosspath_comparison(params: PhysicalParams, j: int,
     offset the operator actually realizes is m-dependent, 2 m M c^2 hbar
     omega.  Both identifications are evaluated here and the implied one is
     checked exactly against the derived critical polynomial.  ``recurrence``
-    is that block's (canonical gauge, free mode) when the caller already
-    holds it; otherwise it is derived here.
+    is reused when it is that block's band (canonical gauge, free mode);
+    otherwise the band is derived here.
 
     On the module the Hamiltonian is tridiagonal (the sl2 generators move
     the degree by at most one), so its characteristic polynomial
@@ -809,10 +801,12 @@ def crosspath_comparison(params: PhysicalParams, j: int,
                             f"span(1..rho^{j}) not invariant")
     module = ThreeTermRecurrence(j, alpha, beta, gamma, trunc, "module", "free", "reduced",
                                  SpectralLedger(), ham)
-    cp = run_recurrence(module, QPoly.x(), j + 1)[-1].monic()
+    cp = polynomial_family(module).critical
 
-    rec = recurrence or derived_recurrence(params, j, None, "free")
-    critical = polynomial_family(rec).critical_physical
+    canonical = canonical_gauge(params, m, "free")
+    if recurrence is None or recurrence.mode != "free" or recurrence.gauge != canonical:
+        recurrence = derived_recurrence(params, j, canonical, "free")
+    critical = polynomial_family(recurrence).critical_physical
     offset_published = 2 * params.M * params.c**2 * params.hbar * params.omega
     offset_implied = offset_published * m
     match_implied = cp.shifted(offset_implied) == critical

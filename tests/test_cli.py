@@ -177,9 +177,9 @@ def test_derive_gauge_index_selects_its_row(monkeypatch):
     from sextic.render import gauge_json
     chosen, block = [], cli.spectrum
 
-    def recorded(params, j, mode, source, gauge, *args):
-        chosen.append(gauge_json(gauge))
-        return block(params, j, mode, source, gauge, *args)
+    def recorded(params, j, mode, source, digits, rec):
+        chosen.append(gauge_json(rec.gauge))
+        return block(params, j, mode, source, digits, rec)
 
     monkeypatch.setattr(cli, "spectrum", recorded)
     for mode in ("free", "field"):

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import sextic
-from sextic import oracle
+from sextic import oracle, qes
 
 MODULES = [importlib.import_module(f"sextic.{info.name}")
            for info in pkgutil.iter_modules(sextic.__path__)]
@@ -71,9 +71,17 @@ def test_no_module_imports_scipy_at_import_time():
 
 
 def test_the_benchmark_call_shapes_bind():
-    # perfbench/workloads.py calls refine and suggest_grid in these shapes, and
-    # perfbench/tracing.py reads refine's fifth positional argument as the grid
+    # perfbench/workloads.py calls spectrum, refine and suggest_grid in these
+    # shapes; perfbench/tracing.py reads refine's fifth positional argument as
+    # the grid and critical_roots' first as the family
     workloads = _perfbench("workloads")
+    mode, j, params = workloads.make_inputs("block", 7)[0]
+    inspect.signature(qes.spectrum).bind(params, j, mode, digits=workloads.DIGITS)
+    family = qes.polynomial_family(qes.derived_recurrence(params, j, None, mode))
+    assert inspect.signature(qes.critical_roots).bind(family).arguments["family"] is family
+    spec = workloads.run_one("block", (mode, j, params))
+    assert spec.critical == family.critical and len(spec.roots_reduced) == j + 1
+
     box = next(item for item in workloads.make_inputs("ladder", 7)
                if item.kind == "box" and item.r_max is None)
     grid = oracle.Grid(math.pi, workloads.LADDER_N)

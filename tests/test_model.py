@@ -27,6 +27,8 @@ def test_potential_free_values():
     assert potential_free(natural(q=0), 2, 1) == Q(19, 4)       # 3.75 + 1
     assert potential_free(natural(), 2, 1) == Q(15, 4)          # 3.75 + 1 - 2 + 1
     assert potential_free(natural(), 3, 2) == Q(739, 16)        # 46.1875
+    # a string is parsed before the domain check: 15 + 1/4 - 1/8 + 1/64
+    assert potential_free(natural(), 2, "1/2") == Q(969, 64)
 
 
 def test_potential_free_domain():
@@ -34,6 +36,8 @@ def test_potential_free_domain():
         potential_free(natural(), 2, 0)
     with pytest.raises(DomainError):
         potential_free(natural(), 2, -1)
+    with pytest.raises(DomainError):
+        potential_free(natural(), 2, "0")
 
 
 def test_potential_magnetic_printed_values():

@@ -590,6 +590,18 @@ def test_isotropic_oscillator_an_operator_the_model_cannot_build(ell):
         pytest.approx(exact, rel=1e-5)
 
 
+@pytest.mark.parametrize("ell, rel", [(Q(-1, 4), 1e-4), (Q(1, 2), 1e-8)],
+                         ids=["s=3/4", "s=3/2"])
+def test_shoot_starts_on_the_regular_exponent(ell, rel):
+    # the same operator at a non-integer exponent s = l + 1: a start vector off
+    # r^s mixes in the irregular r^(1-s), whose weight grows as s falls toward
+    # 1/2, so starting from r^(s+1/2) misses by 6e-3 (s = 3/4) and 1e-7 (s = 3/2)
+    op = DiffOperator({2: LaurentPoly.const(-1), 0: LaurentPoly({-2: ell * (ell + 1), 2: 1})})
+    for n in range(3):
+        e = float(4 * n + 2 * ell + 3)
+        assert shoot(op, e, (e - 0.5, e + 0.5), 8.0) == pytest.approx(e, rel=rel)
+
+
 @pytest.mark.parametrize("op", [
     DiffOperator({2: LaurentPoly.const(-1), 1: LaurentPoly.const(1)}),
     DiffOperator({2: LaurentPoly({0: -1, 2: -1})}),

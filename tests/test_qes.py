@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sextic import qes
-from sextic.model import PhysicalParams, eta_squared
+from sextic.model import PhysicalParams, eta_squared, potential_coefficients
 from sextic.opcalc import (DiffOperator, LaurentPoly, NotQesError, OperatorError, QPoly,
                            commutator, monomial_matrix)
 from sextic.qes import (FamilyConstructionError, QesError, RootPropertyError,
@@ -259,6 +259,33 @@ def test_family_degenerate_interior_row_raises():
     assert err.value.row == 1
 
 
+def _read_jacobi(polys):
+    """(b_k, c_k) of P_{k+1} = (x - b_k) P_k - c_k P_{k-1}, read off the two top
+    coefficients of each monic P_k; None unless every c_k > 0."""
+    s = [p.coeff(k - 1) for k, p in enumerate(polys)]
+    t = [p.coeff(k - 2) for k, p in enumerate(polys)]
+    b = tuple(s[k] - s[k + 1] for k in range(len(polys) - 1))
+    c = tuple(t[k] - b[k] * s[k] - t[k + 1] for k in range(1, len(polys) - 1))
+    return (b, c) if all(v > 0 for v in c) else None
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(M=_positive, c=_positive, hbar=_positive, omega=_positive, q=_positive,
+       negative_q=st.booleans(), mode=st.sampled_from(["free", "field"]),
+       j=st.integers(0, 8))
+def test_family_is_the_continuant_of_its_band(M, c, hbar, omega, q, negative_q, mode, j):
+    # the band's monic continuant is the run recurrence made monic, and the
+    # recorded Jacobi pair (beta_k; alpha_{k-1} gamma_k) is the one its polynomials carry
+    p = PhysicalParams(M=M, c=c, hbar=hbar, omega=omega, q=-q if negative_q else q)
+    rec = derived_recurrence(p, j, None, mode)
+    fam = polynomial_family(rec)
+    assert list(fam.polys) == [f.monic() for f in run_recurrence(rec, QPoly.x(), j + 1)]
+    assert fam.jacobi == _read_jacobi(fam.polys)
+    physical = fam.in_physical_variable()
+    assert physical.jacobi == _read_jacobi(physical.polys)
+    assert (fam.jacobi is None) == (negative_q and j > 0)
+
+
 # ---------------------------------------------------------------------------
 # Roots
 # ---------------------------------------------------------------------------
@@ -484,9 +511,9 @@ def test_decoupled_blocks_take_the_sturm_jacobi_matrix(key, monkeypatch):
     mode, j, index = key
     cand = gauge_search(natural(), j, mode)[index]
     assert cand.recurrence.coefficients_at(1)[2] == 0
-    assert qes._jacobi(polynomial_family(cand.recurrence)) is None
+    assert polynomial_family(cand.recurrence).jacobi is None
     monkeypatch.setattr(mpmath, "polyroots", _no_polyroots)
-    spec = spectrum(natural(), j, mode, gauge=cand.gauge, recurrence=cand.recurrence)
+    spec = spectrum(natural(), j, mode, recurrence=cand.recurrence)
     assert [decimal_fixed(e.midpoint, 50) for e in spec.roots_reduced] == DECOUPLED_ROOTS[key]
 
 
@@ -693,13 +720,24 @@ def test_gauge_search_regular_branch_never_truncates():
 def test_no_regular_candidate_closes_its_module(M, c, hbar, omega, q, negative_q):
     # a block closes its module when gamma(j + 1) = 0.  At r = 0 the exponents are
     # s = 1/2 +- m, and on the regular branch s = m + 1/2 no block closes, so every
-    # closing one diverges at the origin: no block eigenfunction is a bound state
+    # closing one diverges at the origin: no block eigenfunction is a bound state.
+    # In closed form gamma is linear in k with the root n* + 1, where
+    # n* = (b^2 - V_2 - hbar a (2s + 3)) / (4 hbar a) and V_2 is the r^2
+    # coefficient of V: the regular branch gives n* = -m at a = q, -2 at a = -q
     p = PhysicalParams(M=M, c=c, hbar=hbar, omega=omega, q=-q if negative_q else q)
     closing = 0
     for mode in ("free", "field"):
         for j in range(7):
+            v2 = potential_coefficients(p.for_mode(mode), j + 2, mode)[2]
             for cand in gauge_search(p, j, mode):
-                closes = not cand.recurrence.gamma(Q(j + 1))
+                g, gamma = cand.gauge, cand.recurrence.gamma
+                n_star = (g.gaussian**2 - v2 - hbar * g.quartic * (2 * g.power + 3)) / (
+                    4 * hbar * g.quartic)
+                assert gamma.degree == 1 and not gamma(n_star + 1), (mode, j, g)
+                if g.power > 0:
+                    assert n_star == (-(j + 2) if g.quartic == p.q else -2), (mode, j, g)
+                closes = not gamma(Q(j + 1))
+                assert closes == (n_star == j), (mode, j, g)
                 assert not (closes and cand.gauge.power == j + Q(5, 2)), (mode, j, cand.gauge)
                 if closes:
                     closing += 1
