@@ -1,12 +1,15 @@
 """Exact calculus for linear differential operators with rational coefficients.
 
-Everything in this module is computed over ``fractions.Fraction``: polynomial
+Everything in this module is computed exactly over the rationals: polynomial
 arithmetic, operator composition and commutators, similarity (gauge)
 transformations by ``r^s exp(-b r^2/2hbar - a r^4/4hbar)``, the quadratic
 change of variable ``r = scale * sqrt(rho)``, and the extraction of a
-three-term power-series recurrence from a banded operator.  No floating point
-enters; a sign error anywhere in the pipeline surfaces as an exact mismatch
-rather than a small residual.
+three-term power-series recurrence from a banded operator.  Coefficients are
+stored as ``fractions.Fraction``; the polynomial product, evaluation, Taylor
+shift and division run on integer numerators over a common denominator and
+reduce each result coefficient once.  No floating point enters; a sign error
+anywhere in the pipeline surfaces as an exact mismatch rather than a small
+residual.
 
 Operators are stored as finite sums ``c_k(var) * D^k`` where each ``c_k`` is a
 Laurent polynomial whose exponents are bounded below by ``LAURENT_FLOOR``
@@ -67,6 +70,13 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("exact arithmetic only: got float %r" % x)
     return Q(x)
+
+
+def _over_common(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(integer numerators, their common denominator) of ``coeffs``: the exact
+    kernels run on Python ints and build each result coefficient once."""
+    den = math.lcm(*(a.denominator for a in coeffs))
+    return [a.numerator * (den // a.denominator) for a in coeffs], den
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +163,14 @@ class QPoly:
             return NotImplemented
         if not self.c or not other.c:
             return QPoly()
-        out = [Q(0)] * (len(self.c) + len(other.c) - 1)
-        for i, a in enumerate(self.c):
-            if not a:
-                continue
-            for j, b in enumerate(other.c):
-                if b:
-                    out[i + j] += a * b
-        return QPoly(out)
+        (a, da), (b, db) = _over_common(self.c), _over_common(other.c)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, u in enumerate(a):
+            if u:
+                for j, v in enumerate(b):
+                    out[i + j] += u * v
+        den = da * db
+        return QPoly([Q(n, den) for n in out])
 
     __rmul__ = __mul__
 
@@ -178,13 +188,25 @@ class QPoly:
         return out
 
     def __call__(self, x):
-        """Horner evaluation; works for Fraction, int, float and mpmath types."""
+        """Horner evaluation; works for Fraction, int, float and mpmath types.
+
+        At an int or Fraction p/q the Horner runs on the integer numerators,
+        as q^d sum n_i (p/q)^i, and reduces once.
+        """
+        if isinstance(x, (int, Fraction)):
+            if not self.c:
+                return Q(0)
+            nums, den = _over_common(self.c)
+            p, q = x.numerator, x.denominator
+            acc, qk = nums[-1], 1
+            for n in reversed(nums[:-1]):
+                qk *= q
+                acc = acc * p + n * qk
+            return Q(acc, den * qk)
         acc = None
         for a in reversed(self.c):
             acc = a if acc is None else acc * x + a
-        if acc is None:
-            return 0 * x if not isinstance(x, (int, Fraction)) else Q(0)
-        return acc
+        return 0 * x if acc is None else acc
 
     def derivative(self) -> "QPoly":
         return QPoly([i * a for i, a in enumerate(self.c)][1:])
@@ -192,22 +214,21 @@ class QPoly:
     def divmod(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.c)
-        quot = [Q(0)] * max(0, len(rem) - len(other.c) + 1)
-        d = other.degree
-        lead = other.leading
-        while len(rem) - 1 >= d and any(rem):
-            while rem and not rem[-1]:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            f = rem[-1] / lead
-            quot[k] = f
-            for i, b in enumerate(other.c):
-                rem[k + i] -= f * b
-            rem.pop()
-        return QPoly(quot), QPoly(rem)
+        # pseudo-division on integer numerators: after t steps the remainder
+        # is rem / (lead^t da), and each quotient term is reduced once
+        (rem, da), (b, db) = _over_common(self.c), _over_common(other.c)
+        d, lead, scale = len(b) - 1, b[-1], da
+        quot = [Q(0)] * max(0, len(rem) - d)
+        while len(rem) > d:
+            top = rem.pop()
+            if top:
+                k = len(rem) - d
+                scale *= lead
+                rem = [lead * v for v in rem]
+                for i in range(d):
+                    rem[k + i] -= top * b[i]
+                quot[k] = Q(top * db, scale)
+        return QPoly(quot), QPoly([Q(v, scale) for v in rem])
 
     def __mod__(self, other: "QPoly") -> "QPoly":
         return self.divmod(other)[1]
@@ -219,12 +240,22 @@ class QPoly:
         return QPoly([a / lead for a in self.c])
 
     def shifted(self, delta) -> "QPoly":
-        """Return p(x + delta), exactly."""
-        arg = QPoly([_as_fraction(delta), 1])
-        out = QPoly()
-        for coeff in reversed(self.c):
-            out = out * arg + coeff
-        return out
+        """Return p(x + delta), exactly.
+
+        With delta = p/q and integer numerators n_i over den, q^d p(x + delta)
+        is R(q x) for R(z) = sum n_i q^(d-i) (z + p)^i, whose integer Taylor
+        shift is the in-place Horner scheme; coefficient k is r_k / (den q^(d-k)).
+        """
+        delta = _as_fraction(delta)
+        if not self.c:
+            return QPoly()
+        nums, den = _over_common(self.c)
+        p, q, d = delta.numerator, delta.denominator, len(nums) - 1
+        r = [n * q ** (d - i) for i, n in enumerate(nums)]
+        for i in range(d):
+            for k in range(d - 1, i - 1, -1):
+                r[k] += p * r[k + 1]
+        return QPoly([Q(v, den * q ** (d - k)) for k, v in enumerate(r)])
 
     def __repr__(self) -> str:
         if not self.c:
@@ -252,7 +283,8 @@ class LaurentPoly:
         for e, v in items:
             v = _as_fraction(v)
             if v:
-                d[int(e)] = d.get(int(e), Q(0)) + v
+                e = int(e)
+                d[e] = d[e] + v if e in d else v
         self.d = {e: v for e, v in d.items() if v}
 
     @classmethod
@@ -293,7 +325,7 @@ class LaurentPoly:
             return NotImplemented
         d = dict(self.d)
         for e, v in other.d.items():
-            d[e] = d.get(e, Q(0)) + v
+            d[e] = d[e] + v if e in d else v
         return LaurentPoly(d)
 
     __radd__ = __add__
@@ -309,7 +341,8 @@ class LaurentPoly:
         d: dict[int, Fraction] = {}
         for e1, v1 in self.d.items():
             for e2, v2 in other.d.items():
-                d[e1 + e2] = d.get(e1 + e2, Q(0)) + v1 * v2
+                e, v = e1 + e2, v1 * v2
+                d[e] = d[e] + v if e in d else v
         return LaurentPoly(d)
 
     __rmul__ = __mul__

@@ -125,11 +125,12 @@ def _operator_floats(op: DiffOperator):
     return floats.pop("kinetic"), floats
 
 
-def _power_sum(coeffs: dict, r):
-    """Sum of c * r^e over ``coeffs`` {e: c}, at a float node, an array of nodes or an mpf."""
+def _power_sum(coeffs: dict, r, powers: Optional[dict] = None):
+    """Sum of c * r^e over ``coeffs`` {e: c}, at a float node, an array of nodes or an mpf;
+    ``powers`` {e: r^e} holds powers of r already formed."""
     u = 0.0 * r
     for e, c in coeffs.items():
-        u = u + (c * r**e if e else c)
+        u = u + (c * (powers[e] if powers else r**e) if e else c)
     return u
 
 
@@ -496,13 +497,22 @@ def ode_residual(f, d2f, potential, kinetic, x, window: tuple[float, float],
     and ``potential`` are callables of r (mpmath-friendly); run inside an
     mpmath.workdps context matching the data's precision.
     """
+    def sample(r):
+        fv = f(r)
+        return fv, -kinetic * d2f(r) + potential(r) * fv
+
+    return _max_relative(sample, x, window, samples)
+
+
+def _max_relative(sample, x, window: tuple[float, float], samples: int) -> float:
+    """max |h - x f| / (max(1, |x|) sup |f|) over ``samples`` even nodes of the
+    window, with sample(r) = (f(r), h(r))."""
     a, b = window
     num = mpmath.mpf(0)
     fmax = mpmath.mpf(0)
     for i in range(samples):
         r = mpmath.mpf(a) + (mpmath.mpf(b) - mpmath.mpf(a)) * i / (samples - 1)
-        fv = f(r)
-        hv = -kinetic * d2f(r) + potential(r) * fv
+        fv, hv = sample(r)
         num = max(num, abs(hv - x * fv))
         fmax = max(fmax, abs(fv))
     den = fmax * max(mpmath.mpf(1), abs(x))
@@ -523,7 +533,8 @@ def residual(wf: RadialWavefunction, op: DiffOperator, x,
     normalizable.
     """
     kin = _kinetic(op)
-    w = wf.gauge.log_derivative(wf.hbar)
+    g = wf.gauge
+    w = g.log_derivative(wf.hbar)
 
     with mpmath.workdps(digits + 10):
         mult, wc, dwc = ({e: _to_mpf(v) for e, v in lp.d.items()}
@@ -532,16 +543,24 @@ def residual(wf: RadialWavefunction, op: DiffOperator, x,
                 for e, c in wf.polynomial_in_r().items()}
         dpoly = {e - 1: e * c for e, c in poly.items() if e}
         d2poly = {e - 1: e * c for e, c in dpoly.items() if e}
+        exponents = {2, 4}.union(mult, wc, dwc, poly, dpoly, d2poly) - {0}
+        kv, h, power = _to_mpf(kin), _to_mpf(wf.hbar), _to_mpf(g.power)
+        gaussian, quartic = _to_mpf(g.gaussian), _to_mpf(g.quartic)
+        h2, h4 = 2 * h, 4 * h
 
-        def d2f(r):
-            # f = g q with g the gauge factor and w = (log g)':
-            # f'' = g (q'' + 2 w q' + (w' + w^2) q)
-            wr = _power_sum(wc, r)
-            return wf.prefactor(r) * (_power_sum(d2poly, r) + 2 * wr * _power_sum(dpoly, r)
-                                      + (_power_sum(dwc, r) + wr * wr) * _power_sum(poly, r))
+        def sample(r):
+            # f = g q with g the gauge factor (wf.prefactor) and w = (log g)':
+            # f'' = g (q'' + 2 w q' + (w' + w^2) q); g and each r^e are formed once
+            rp = {e: r**e for e in exponents}
+            gr = r ** power * mpmath.exp(-gaussian * rp[2] / h2 - quartic * rp[4] / h4)
+            wr, qr = _power_sum(wc, r, rp), _power_sum(poly, r, rp)
+            fv = gr * qr
+            d2 = gr * (_power_sum(d2poly, r, rp) + 2 * wr * _power_sum(dpoly, r, rp)
+                       + (_power_sum(dwc, r, rp) + wr * wr) * qr)
+            return fv, -kv * d2 + _power_sum(mult, r, rp) * fv
 
         xv = x if isinstance(x, mpmath.mpf) else _to_mpf(Q(x)) if isinstance(x, (int, Fraction)) else mpmath.mpf(x)
-        return ode_residual(wf, d2f, partial(_power_sum, mult), _to_mpf(kin), xv, window, samples)
+        return _max_relative(sample, xv, window, samples)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,10 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 import warnings
 from datetime import timedelta
 from pathlib import Path
@@ -440,6 +444,49 @@ def test_wavefunction_window_must_be_positive(window, capsys):
     code, out = run(["wavefunction", "--mode", "field", "--j", "0", *window])
     assert code == 2 and out == ""
     assert "finite and positive" in capsys.readouterr().err
+
+
+_FAR = ["wavefunction", "--mode", "free", "--j", "1", "--samples", "3"]
+
+
+def test_a_far_wavefunction_window_is_refused_before_sampling(capsys):
+    # |b r^2/2h + a r^4/4h| = r^2/2 - r^4/4 at b = 1, a = -1, h = 1: about 2.5e1199
+    # at r = 1e300, where one sample took seconds
+    start = time.perf_counter()
+    code, out = run([*_FAR, "--r-to", "1e300"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "exceeds 1e+300" in capsys.readouterr().err
+    assert run([*_FAR, "--r-to", "1e76"])[0] == 2  # 2.5e303
+    assert run([*_FAR, "--r-to", "1e75", "--samples", "0"])[0] == 0  # nothing is sampled
+
+
+def test_an_in_bound_wavefunction_window_is_unchanged():
+    code, out = run([*_FAR, "--r-to", "1e20"])
+    assert code == 0
+    assert out.splitlines()[-3:] == [
+        "0.1,313.08514761755958",
+        "5e+19,-2.7253095369887982e+6785851279738309807048889358071954410844524534658499447"
+        "69270101415061821463766",
+        "1e+20,-1.1718345742557903e+1085736204758129569127822297291512705735775367268214789"
+        "3723088840020209458521423",
+    ]
+    code, out = run([*_FAR, "--r-to", "1.4e75"])  # 9.6e299, just inside the bound
+    assert code == 0 and out.splitlines()[-1].startswith("1.4e+75,")
+
+
+def test_the_parser_is_built_once_and_holds_no_state_between_calls():
+    assert build_parser() is build_parser()
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    calls = [["polys", "--mode", "field", "--j", "1", "--bogus"],
+             ["polys", "--mode", "field", "--j", "1"]]
+    alone = [subprocess.run([sys.executable, "-m", "sextic.cli", *argv], env=env,
+                            capture_output=True, text=True) for argv in calls]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        together = [run(argv) for argv in calls]
+    assert [(a.returncode, a.stdout) for a in alone] == together
+    assert together[0][0] == 2 and together[1][0] == 0
 
 
 def test_a_verdict_respects_the_record_bar():

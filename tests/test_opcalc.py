@@ -59,6 +59,90 @@ def test_qpoly_rejects_floats():
         QPoly([0.5])
 
 
+# the kernels as plain per-coefficient Fraction loops: the integer kernels of
+# QPoly must return exactly these Fractions
+
+def _ref_mul(p, q):
+    if not p.c or not q.c:
+        return QPoly()
+    out = [Q(0)] * (len(p.c) + len(q.c) - 1)
+    for i, a in enumerate(p.c):
+        for j, b in enumerate(q.c):
+            out[i + j] += a * b
+    return QPoly(out)
+
+
+def _ref_call(p, x):
+    acc = Q(0)
+    for a in reversed(p.c):
+        acc = acc * x + a
+    return acc
+
+
+def _ref_shifted(p, delta):
+    out, arg = QPoly(), QPoly([Q(delta), 1])
+    for a in reversed(p.c):
+        out = _ref_mul(out, arg) + a
+    return out
+
+
+def _ref_divmod(p, q):
+    rem, quot = list(p.c), [Q(0)] * max(0, len(p.c) - q.degree)
+    while len(rem) > q.degree:
+        top = rem.pop()
+        if top:
+            k = len(rem) - q.degree
+            quot[k] = top / q.leading
+            for i, b in enumerate(q.c[:-1]):
+                rem[k + i] -= quot[k] * b
+    return QPoly(quot), QPoly(rem)
+
+
+_rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+_polys = st.lists(_rationals | st.just(Q(0)), max_size=13).map(QPoly)  # degree -1..12
+_points = st.integers(-10**4, 10**4) | _rationals
+
+
+def _exactly(got, want):
+    values = got.c if isinstance(got, QPoly) else [got]
+    return got == want and all(type(v) is Q for v in values)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(p=_polys, q=_polys, x=_points)
+def test_integer_kernels_equal_the_fraction_loops(p, q, x):
+    assert _exactly(p * q, _ref_mul(p, q))
+    assert _exactly(p(x), _ref_call(p, x))
+    assert _exactly(p.shifted(x), _ref_shifted(p, x))
+    if q:
+        quot, rem = p.divmod(q)
+        want_quot, want_rem = _ref_divmod(p, q)
+        assert _exactly(quot, want_quot) and _exactly(rem, want_rem)
+        assert _exactly(p % q, want_rem)
+        assert quot * q + rem == p
+    else:
+        with pytest.raises(ZeroDivisionError):
+            p.divmod(q)
+
+
+_laurents = st.dictionaries(st.integers(-4, 6), _rationals | st.just(Q(0)), max_size=5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(a=_laurents, b=_laurents)
+def test_laurent_sum_and_product_equal_the_fraction_loops(a, b):
+    def reference(terms):
+        d = {}
+        for e, v in terms:
+            d[e] = d.get(e, Q(0)) + v
+        return {e: v for e, v in d.items() if v}
+
+    p, q = LaurentPoly(a), LaurentPoly(b)
+    assert p.d == reference(a.items())
+    assert (p + q).d == reference([*a.items(), *b.items()])
+    assert (p * q).d == reference([(e1 + e2, u * v) for e1, u in a.items() for e2, v in b.items()])
+
+
 # ---------------------------------------------------------------------------
 # Composition and commutators
 # ---------------------------------------------------------------------------

@@ -683,6 +683,54 @@ def test_residual_field_j0_block_root():
     assert residual(wf, radial_operator(p, 2, "field"), spec.roots_physical[0].midpoint) < 1e-10
 
 
+def _reference_residual(wf, op, x, window=(0.5, 2.5), samples=33, digits=50):
+    """The residual as a plain per-sample loop: f = wf(r) and f'' each evaluate
+    the gauge factor, and wf(r) converts the polynomial anew at every sample."""
+    kin = -op.coeff(2).constant_term
+    w = wf.gauge.log_derivative(wf.hbar)
+
+    def power_sum(coeffs, r):
+        u = 0.0 * r
+        for e, c in coeffs.items():
+            u = u + (c * r**e if e else c)
+        return u
+
+    with mpmath.workdps(digits + 10):
+        def to_mpf(v):
+            v = Q(v)
+            return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
+
+        mult, wc, dwc = ({e: to_mpf(v) for e, v in lp.d.items()}
+                         for lp in (op.coeff(0), w, w.derivative()))
+        poly = {e: (c if isinstance(c, mpmath.mpf) else to_mpf(c))
+                for e, c in wf.polynomial_in_r().items()}
+        dpoly = {e - 1: e * c for e, c in poly.items() if e}
+        d2poly = {e - 1: e * c for e, c in dpoly.items() if e}
+
+        def d2f(r):
+            wr = power_sum(wc, r)
+            return wf.prefactor(r) * (power_sum(d2poly, r) + 2 * wr * power_sum(dpoly, r)
+                                      + (power_sum(dwc, r) + wr * wr) * power_sum(poly, r))
+
+        return ode_residual(wf, d2f, lambda r: power_sum(mult, r), to_mpf(kin),
+                            x, window, samples)
+
+
+def test_residual_is_the_reference_loop_bit_for_bit():
+    # the 20 blocks of verify's wavefunction-residual check
+    p = natural()
+    blocks = 0
+    for mode in ("free", "field"):
+        for j in range(4):
+            spec = spectrum(p, j, mode)
+            op = radial_operator(p, j + 2, mode)
+            for i, ph in enumerate(spec.roots_physical):
+                wf, x = wavefunction(spec, i), ph.mpf(50)
+                assert residual(wf, op, x) == _reference_residual(wf, op, x), (mode, j, i)
+                blocks += 1
+    assert blocks == 20
+
+
 def test_residual_every_block_root_j_le_2():
     p = natural()
     for mode in ("free", "field"):

@@ -86,6 +86,9 @@ def _argvs():
     yield ["wavefunction", "--mode", "field", "--j", "2", "--samples", "5"]
     yield ["wavefunction", "--mode", "free", "--j", "1", "--samples", "5"]
     yield ["wavefunction", "--mode", "field", "--j", "2", "--samples", "0"]
+    # a far window: refused past the gauge-exponent bound, printed inside it
+    yield ["wavefunction", "--mode", "free", "--j", "1", "--samples", "3", "--r-to", "1e300"]
+    yield ["wavefunction", "--mode", "free", "--j", "1", "--samples", "3", "--r-to", "1e20"]
     yield ["compare", "--mode", "free", "--j", "3", "--gauge", "0"]
     yield ["compare", "--mode", "free", "--j", "3", "--gauge", "5"]
     yield ["compare", "--mode", "field", "--j", "1", "--convention", "printed"]
