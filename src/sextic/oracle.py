@@ -539,8 +539,7 @@ def residual(wf: RadialWavefunction, op: DiffOperator, x,
     with mpmath.workdps(digits + 10):
         mult, wc, dwc = ({e: _to_mpf(v) for e, v in lp.d.items()}
                          for lp in (op.coeff(0), w, w.derivative()))
-        poly = {e: (c if isinstance(c, mpmath.mpf) else _to_mpf(Q(c)))
-                for e, c in wf.polynomial_in_r().items()}
+        poly = wf.polynomial_in_r()
         dpoly = {e - 1: e * c for e, c in poly.items() if e}
         d2poly = {e - 1: e * c for e, c in dpoly.items() if e}
         exponents = {2, 4}.union(mult, wc, dwc, poly, dpoly, d2poly) - {0}

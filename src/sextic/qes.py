@@ -562,7 +562,9 @@ class QesSpectrum:
 
     ``recurrence`` and ``family`` are the records the block was built from;
     the critical polynomial, its variable, the ledger and the gauge (None for
-    a published block) are read from them.
+    a published block) are read from them.  ``coefficients[i]`` is the series
+    c_0..c_j at root i as mpf values computed at ``digits + 10`` digits; do
+    arithmetic on them inside ``mpmath.workdps(digits + 10)``.
     """
 
     params: PhysicalParams
@@ -571,7 +573,7 @@ class QesSpectrum:
     roots_reduced: tuple[RootEnclosure, ...]
     roots_physical: tuple[RootEnclosure, ...]
     energies: tuple[SpectralValue, ...]
-    coefficients: tuple[tuple[str, ...], ...]
+    coefficients: tuple[tuple, ...]
     digits: int
 
     j = property(lambda self: self.recurrence.j)
@@ -613,8 +615,7 @@ def spectrum(params: PhysicalParams, j: int, mode: str, source: str = "derived",
         # free-mode degeneracy at row j never blocks them
         band = [tuple(_to_mpf(v) for v in rec.coefficients_at(k)) for k in range(j)]
         for r in roots:
-            cs = run_recurrence(rec, r.mpf(digits), j, band)
-            coeff_rows.append(tuple(mpmath.nstr(c, digits, strip_zeros=False) for c in cs))
+            coeff_rows.append(tuple(run_recurrence(rec, r.mpf(digits), j, band)))
     return QesSpectrum(params, rec, fam, tuple(roots), physical, energies,
                        tuple(coeff_rows), digits)
 
@@ -624,8 +625,8 @@ class RadialWavefunction:
     """Closed form f(r) = r^s exp(-b r^2/2h - a r^4/4h) sum_k c_k rho^k.
 
     rho = r^2 / scale^2 with scale = 2 c hbar.  Coefficients are mpmath
-    values evaluated at one root (or exact Fractions for rational roots).
-    The normalizability class is computed from the gauge, never asserted.
+    values evaluated at one root.  The normalizability class is computed from
+    the gauge, never asserted.
     """
 
     gauge: GaugeAnsatz
@@ -633,18 +634,15 @@ class RadialWavefunction:
     coefficients: tuple
     m: int
     hbar: Fraction
-    normalizability: str
+
+    @property
+    def normalizability(self) -> str:
+        return self.gauge.normalizability
 
     def polynomial_in_r(self) -> dict[int, object]:
         """The polynomial factor as {power of r: coefficient}."""
-        out: dict[int, object] = {}
         s2 = self.scale**2
-        for k, ck in enumerate(self.coefficients):
-            if isinstance(ck, Fraction):
-                out[2 * k] = ck / s2**k
-            else:
-                out[2 * k] = ck / _to_mpf(s2**k)
-        return out
+        return {2 * k: ck / _to_mpf(s2**k) for k, ck in enumerate(self.coefficients)}
 
     def prefactor(self, r):
         """The gauge factor r^s exp(-b r^2/2h - a r^4/4h) at an mpf r."""
@@ -658,27 +656,21 @@ class RadialWavefunction:
         r = mpmath.mpf(r) if not isinstance(r, mpmath.mpf) else r
         poly = mpmath.mpf(0)
         for e, ce in sorted(self.polynomial_in_r().items()):
-            term = ce if isinstance(ce, mpmath.mpf) else _to_mpf(ce)
-            poly += term * r**e
+            poly += ce * r**e
         return self.prefactor(r) * poly
 
 
 def wavefunction(spec: QesSpectrum, index: int) -> RadialWavefunction:
     """The closed-form eigenfunction of a derived block at its root ``index``.
 
-    The series coefficients come from the block's own recurrence, at the
-    block's digits (exactly, as Fractions, at a rational root).  A published
-    block has no gauge, hence no closed form: :class:`QesError`.
+    The series coefficients are the block's own row ``spec.coefficients[index]``.
+    A published block has no gauge, hence no closed form: :class:`QesError`.
     """
     if spec.gauge is None:
         raise QesError(f"a {spec.source} block has no gauge and so no closed-form eigenfunction")
-    root = spec.roots_reduced[index]
-    with mpmath.workdps(spec.digits + 10):
-        xval = root.midpoint if root.exact else root.mpf(spec.digits)
-        coeffs = run_recurrence(spec.recurrence, xval, spec.j)
     p = spec.params
-    return RadialWavefunction(spec.gauge, 2 * p.c * p.hbar, tuple(coeffs), spec.m, p.hbar,
-                              spec.gauge.normalizability)
+    return RadialWavefunction(spec.gauge, 2 * p.c * p.hbar, spec.coefficients[index], spec.m,
+                              p.hbar)
 
 
 # ---------------------------------------------------------------------------

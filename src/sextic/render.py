@@ -187,7 +187,8 @@ def spectrum_json(spec: QesSpectrum, digits: int) -> dict[str, Any]:
             "index": i,
             "reduced": enclosure_json(red, digits),
             "physical": enclosure_json(phys, digits),
-            "coefficients": list(spec.coefficients[i]),
+            "coefficients": [mpmath.nstr(c, digits, strip_zeros=False)
+                             for c in spec.coefficients[i]],
         }
         if en.subcritical:
             entry["energy"] = {"subcritical_violation": True,

@@ -664,8 +664,8 @@ def test_exact_commands_never_load_scipy():
 
 
 def test_residual_analytic_oscillator_state():
-    wf = RadialWavefunction(GaugeAnsatz(Q(5, 2), 1, 0), Q(2), (Q(1),), 2, Q(1),
-                            "normalizable")
+    wf = RadialWavefunction(GaugeAnsatz(Q(5, 2), 1, 0), Q(2), (mpmath.mpf(1),), 2, Q(1))
+    assert wf.normalizability == "normalizable"
     assert residual(wf, radial_operator(natural(q=0), 2, "free"), 4) < 1e-12
 
 

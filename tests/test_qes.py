@@ -639,7 +639,7 @@ def test_spectrum_published_source():
 def test_spectrum_coefficient_vectors():
     spec = spectrum(natural(), 1, "field", digits=30)
     for row, enc in zip(spec.coefficients, spec.roots_reduced):
-        assert row[0] == "1.00000000000000000000000000000"
+        assert mpmath.nstr(row[0], 30, strip_zeros=False) == "1.00000000000000000000000000000"
         # c_1 = x / (j+1) at the root
         want = float(enc.midpoint) / 2
         assert float(row[1]) == pytest.approx(want, rel=1e-12)
@@ -674,8 +674,10 @@ def test_wavefunction_reads_the_block_coefficients():
     for i, row in enumerate(spec.coefficients):
         wf = wavefunction(spec, i)
         assert wf.gauge == spec.gauge and wf.m == spec.m
+        assert wf.coefficients is row
         with mpmath.workdps(40):
-            assert [mpmath.nstr(c, 30, strip_zeros=False) for c in wf.coefficients] == list(row)
+            assert list(row) == run_recurrence(spec.recurrence, spec.roots_reduced[i].mpf(30),
+                                               spec.j)
 
 
 def test_wavefunction_of_a_published_block_raises():

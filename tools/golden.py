@@ -36,6 +36,8 @@ def _spectra():
         yield ["spectrum", "--mode", "free", "--j", str(j), "--digits", "60"]
     yield ["spectrum", "--mode", "free", "--j", "12", "--digits", "200"]
     yield ["spectrum", "--mode", "free", "--j", "2", "--source", "published"]
+    # a block whose band has a c_k < 0: its Jacobi matrix comes from the Sturm chain
+    yield ["spectrum", "--mode", "free", "--j", "1", "--M", "3", "--omega", "5", "--q", "-2"]
     yield ["spectrum", "--mode", "field", "--j", "1", "--source", "published"]
     yield ["spectrum", "--mode", "field", "--j", "1", "--oracle", "--oracle-n", "1024"]
     yield ["spectrum", "--mode", "free", "--j", "2", "--oracle"]
@@ -81,9 +83,11 @@ def _argvs():
     yield ["oracle", "--box", "--rmax", "3.14159265358", "--count", "3", "--format", "pretty"]
     yield ["oracle", "--mode", "free", "--m", "3", "--count", "4"]
     yield ["oracle", "--mode", "field", "--m", "3", "--count", "4"]
+    yield ["oracle", "--mode", "field", "--m", "3", "--count", "4", "--convention", "printed"]
     yield ["oracle", "--mode", "free", "--m", "0", "--count", "3"]
     yield ["oracle", "--mode", "field", "--m", "2", "--count", "2", "--rmax", "1e6"]
     yield ["wavefunction", "--mode", "field", "--j", "2", "--samples", "5"]
+    yield ["wavefunction", "--mode", "field", "--j", "2", "--root-index", "1", "--samples", "5"]
     yield ["wavefunction", "--mode", "free", "--j", "1", "--samples", "5"]
     yield ["wavefunction", "--mode", "field", "--j", "2", "--samples", "0"]
     # a far window: refused past the gauge-exponent bound, printed inside it
