@@ -5,7 +5,8 @@ One table, :data:`COMMANDS`, names for each subcommand the options it reads
 option or config key that a command does not read exits 2 like any unknown
 flag.  Exit codes: 0 success (findings such as table mismatches are still 0),
 1 internal or invariant failure, 2 usage/configuration error or parameters
-without a real simple algebraic block (RootPropertyError).  Identical
+without a real simple algebraic block (RootPropertyError) or whose selected
+gauge does not close its module (OpenModuleError).  Identical
 configuration gives byte-identical JSON.  Output is plain text (NO_COLOR holds).
 """
 
@@ -27,7 +28,7 @@ from . import oracle as oracle_mod
 from . import tables, verify
 from .model import ConfigError, DomainError, PhysicalParams, eta_squared
 from .opcalc import GaugeError, NotQesError
-from .qes import (QesSpectrum, RootPropertyError, canonical_gauge,
+from .qes import (OpenModuleError, QesSpectrum, RootPropertyError, canonical_gauge,
                   crosspath_comparison, derived_recurrence, gauge_search,
                   ledger_shift_direct, polynomial_family, published_recurrence,
                   spectrum, wavefunction)
@@ -195,13 +196,18 @@ def _build_config(args: argparse.Namespace, cmd: Command) -> RunConfig:
 
 def _select_gauge(cfg: RunConfig, j: int):
     """The derived recurrence of the gauge ``--gauge`` selects: the canonical
-    gauge's, or the chosen gauge-search candidate's, which the search derived."""
+    gauge's, or the chosen gauge-search candidate's, which the search derived.
+    A band whose module does not close raises OpenModuleError."""
     if cfg.gauge == "auto":
-        return derived_recurrence(cfg.params, j, None, cfg.mode, cfg.convention)
-    candidates = gauge_search(cfg.params, j, cfg.mode, convention=cfg.convention)
-    if int(cfg.gauge) >= len(candidates):
-        raise ConfigError(f"gauge index {cfg.gauge} out of range 0..{len(candidates) - 1}")
-    return candidates[int(cfg.gauge)].recurrence
+        rec = derived_recurrence(cfg.params, j, None, cfg.mode, cfg.convention)
+    else:
+        candidates = gauge_search(cfg.params, j, cfg.mode, convention=cfg.convention)
+        if int(cfg.gauge) >= len(candidates):
+            raise ConfigError(f"gauge index {cfg.gauge} out of range 0..{len(candidates) - 1}")
+        rec = candidates[int(cfg.gauge)].recurrence
+    if not rec.closes:
+        raise OpenModuleError(rec)
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +308,8 @@ def _oracle_grid(cfg: RunConfig, m: int, mode: str, default_count: int):
         return count, oracle_mod.Grid(r_max, max(64, cfg.oracle_n))
     if cfg.rmax is not None:
         return count, oracle_mod.Grid(cfg.rmax, cfg.oracle_n)
-    return count, oracle_mod.suggest_grid(cfg.params, m, mode, count, n=cfg.oracle_n)
+    return count, oracle_mod.suggest_grid(cfg.params, m, mode, count, n=cfg.oracle_n,
+                                          convention=cfg.convention)
 
 
 def _run_match(cfg: RunConfig, spec: QesSpectrum) -> dict:
@@ -553,8 +560,9 @@ def main(argv: Optional[Sequence[str]] = None, stream: Optional[TextIO] = None) 
         report = getattr(module, cmd.build)(cfg)
         out.write(getattr(module, cmd.views[fmt])(report))
         return 1 if report.get("failed") else 0
-    except (ConfigError, DomainError, RootPropertyError) as exc:
-        # RootPropertyError: the parameters have no real simple block (q < 0)
+    except (ConfigError, DomainError, RootPropertyError, OpenModuleError) as exc:
+        # RootPropertyError: the parameters have no real simple block (q < 0);
+        # OpenModuleError: the selected gauge's band builds no block
         print(f"sextic: configuration error: {exc}", file=sys.stderr)
         return 2
     except (GaugeError, NotQesError) as exc:

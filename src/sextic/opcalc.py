@@ -145,8 +145,8 @@ class QPoly:
             other = QPoly([other])
         if not isinstance(other, QPoly):
             return NotImplemented
-        n = max(len(self.c), len(other.c))
-        return QPoly([self.coeff(i) + other.coeff(i) for i in range(n)])
+        a, b = (self.c, other.c) if len(self.c) >= len(other.c) else (other.c, self.c)
+        return QPoly([u + v for u, v in zip(a, b)] + a[len(b):])
 
     __radd__ = __add__
 
@@ -451,8 +451,8 @@ class DiffOperator:
             if not ff:
                 continue
             for e, v in c.d.items():
-                exp = n - k + e
-                out[exp] = out.get(exp, Q(0)) + ff * v
+                exp, w = n - k + e, ff * v
+                out[exp] = out[exp] + w if exp in out else w
         return {e: v for e, v in out.items() if v}
 
     def apply(self, p: QPoly) -> QPoly:
@@ -676,9 +676,8 @@ def change_variable_sqrt(a: DiffOperator, scale, new_var: str = "rho") -> DiffOp
     def add(k: int, e2: Fraction, v: Fraction):
         if e2.denominator != 1:
             raise ParityError("half-integer exponent after substitution")
-        e = int(e2)
-        out.setdefault(k, {})
-        out[k][e] = out[k].get(e, Q(0)) + v
+        e, row = int(e2), out.setdefault(k, {})
+        row[e] = row[e] + v if e in row else v
 
     for d, c in a.terms.items():
         if d > 2:

@@ -312,7 +312,7 @@ def refine(params: Optional[PhysicalParams], m: int, mode: str, count: int,
     Flags, each with its cause:
 
     * ``non-monotone``: d12 and d23 differ in sign or d23 = 0.  The value is
-      v_h4 and the bar |d12| + |d23|.
+      v_h4 and the bar |d12| + |d23| + eps * ||T||.
     * ``rounding-limited``: |d23| is below 4 rounding floors.  The floor
       bounds bisection's error from above and is often far above it, so
       the flag alone says only that the bar is set by rounding; the
@@ -362,7 +362,7 @@ def refine(params: Optional[PhysicalParams], m: int, mode: str, count: int,
         if d12 * d23 <= 0 or d23 == 0:
             flags.append("non-monotone")
             extrap = float(v3[i])
-            err = abs(d23) + abs(d12)
+            err = abs(d23) + abs(d12) + floor
         else:
             order = math.log2(abs(d12) / abs(d23))
             r0, r1 = v2[i] - d12 / 3.0, v3[i] - d23 / 3.0

@@ -45,11 +45,12 @@ from .model import (DomainError, PhysicalParams, coupling_constant,
                     SpectralValue)
 from .opcalc import (DiffOperator, GaugeAnsatz, GaugeError, LaurentPoly,
                      NotQesError, OperatorError, Q, QPoly, SpectralLedger,
-                     change_variable_sqrt, compose, gauge_conjugate,
+                     _over_common, change_variable_sqrt, compose, gauge_conjugate,
                      series_recurrence)
 
 __all__ = [
-    "QesError", "Sl2Realization", "sl2_generators", "algebraic_hamiltonian",
+    "QesError", "OpenModuleError", "Sl2Realization", "sl2_generators",
+    "algebraic_hamiltonian",
     "ThreeTermRecurrence", "published_recurrence", "derived_recurrence",
     "PolynomialFamily", "polynomial_family", "run_recurrence", "FamilyConstructionError",
     "RootEnclosure", "RootPropertyError", "critical_roots", "isolate_real_roots",
@@ -67,6 +68,17 @@ class FamilyConstructionError(QesError):
     def __init__(self, message: str, row: int):
         super().__init__(message)
         self.row = row
+
+
+class OpenModuleError(QesError):
+    """A derived band whose module 1..rho^j does not close (gamma_{j+1} != 0):
+    its roots and closed forms solve nothing, so no block is built from it."""
+
+    def __init__(self, rec: "ThreeTermRecurrence"):
+        g = rec.gauge
+        super().__init__(
+            f"gauge r^({g.power}) b={g.gaussian} a={g.quartic} does not close the module "
+            f"1..rho^{rec.j}: gamma_{rec.j + 1} = {rec.gamma(Q(rec.j + 1))}, not 0")
 
 
 class RootPropertyError(QesError):
@@ -165,6 +177,13 @@ class ThreeTermRecurrence:
 
     def degenerate_rows(self) -> tuple[int, ...]:
         return tuple(k for k in range(self.j + 1) if not self.alpha(Q(k)))
+
+    @property
+    def closes(self) -> bool:
+        """gamma_{j+1} = 0: the band's raising part kills rho^j, so the module
+        1..rho^j is invariant.  A derived block solves the radial equation
+        only when its band closes."""
+        return not self.gamma(Q(self.j + 1))
 
 
 def _field_ledger(params: PhysicalParams, m: int) -> SpectralLedger:
@@ -524,8 +543,7 @@ def isolate_real_roots(p: QPoly, digits: int = 50, jacobi=None) -> list[RootEncl
         raise QesError("constant polynomial has no roots to isolate")
     if jacobi is None:
         jacobi = _sturm_jacobi(p)
-    den = math.lcm(*(a.denominator for a in p.c))
-    coeffs = [a.numerator * (den // a.denominator) for a in p.c]
+    coeffs = _over_common(p.c)[0]
     k = (10 ** (digits + 10)).bit_length() + 1
     centres = _newton_centres(coeffs, jacobi, k)
     cells = None if centres is None else _certified(p, coeffs, centres, k)
@@ -594,12 +612,15 @@ def spectrum(params: PhysicalParams, j: int, mode: str, source: str = "derived",
 
     ``recurrence`` is the derived recurrence to use when the caller already
     holds one (a gauge-search candidate's, or one of another field-constant
-    convention); else the canonical gauge's is derived.
+    convention); else the canonical gauge's is derived.  A derived band that
+    does not close raises :class:`OpenModuleError`.
     """
     params.require_qes()
     params = params.for_mode(mode)
     if source == "derived":
         rec = recurrence or derived_recurrence(params, j, None, mode)
+        if not rec.closes:
+            raise OpenModuleError(rec)
     elif source == "published":
         rec = published_recurrence(params, j, mode)
     else:
@@ -787,12 +808,11 @@ def crosspath_comparison(params: PhysicalParams, j: int,
     flipped = PhysicalParams(params.M, params.c, params.hbar, params.omega,
                              -params.q, params.e_charge, params.B)
     ham = algebraic_hamiltonian(flipped, j)
-    alpha, beta, gamma, trunc = series_recurrence(ham)
-    if gamma(Q(j + 1)):
+    module = ThreeTermRecurrence(j, *series_recurrence(ham), "module", "free", "reduced",
+                                 SpectralLedger(), ham)
+    if not module.closes:
         raise OperatorError(f"image of rho^{j} has a rho^{j + 1} term: "
                             f"span(1..rho^{j}) not invariant")
-    module = ThreeTermRecurrence(j, alpha, beta, gamma, trunc, "module", "free", "reduced",
-                                 SpectralLedger(), ham)
     cp = polynomial_family(module).critical
 
     canonical = canonical_gauge(params, m, "free")

@@ -195,11 +195,11 @@ def spectrum_json(spec: QesSpectrum, digits: int) -> dict[str, Any]:
                                "note": "M^2 c^4 + eps^2 < 0: no real energy pair"}
         elif en.exact:
             entry["energy"] = {"plus": frac_str(en.energy[0]),
-                               "minus": frac_str(-en.energy[0]),
+                               "minus": frac_str(en.energy[1]),
                                "error_bound": "exact"}
         else:
             entry["energy"] = {"plus": mpmath.nstr(en.energy[0], digits),
-                               "minus": mpmath.nstr(-en.energy[0], digits),
+                               "minus": mpmath.nstr(en.energy[1], digits),
                                "error_bound": f"1.5e-{digits}"}
         roots.append(entry)
     return {

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sextic.cli import build_parser, main
+from sextic.model import PhysicalParams
 from sextic.verify import FAULT_NAMES
 
 
@@ -193,11 +194,19 @@ def test_derive_gauge_index_selects_its_row(monkeypatch):
             assert [row["gauge_index"] for row in viable] == list(range(len(viable)))
             assert all(row["gauge_index"] is None for row in rows if "rejected" in row)
             for row in viable:
-                code, out = run(["spectrum", "--mode", mode, "--j", str(j),
-                                 "--gauge", str(row["gauge_index"])])
-                assert chosen.pop() == row["gauge"]
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code, out = run(["spectrum", "--mode", mode, "--j", str(j),
+                                     "--gauge", str(row["gauge_index"])])
+                g = row["gauge"]
+                if "does not close" in err.getvalue():  # refused before any block is built
+                    assert code == 2 and not chosen
+                    assert f"gauge r^({g['power']}) b={g['gaussian']} a={g['quartic']} " in (
+                        err.getvalue())
+                    continue
+                assert chosen.pop() == g
                 # a block without a full set of real roots exits 2 (RootPropertyError)
-                assert code == 2 or json.loads(out)["gauge"] == row["gauge"]
+                assert code == 2 or json.loads(out)["gauge"] == g
     pretty = run(["derive", "--mode", "free", "--j", "1", "--format", "pretty"])[1]
     assert "\n[7] (--gauge 2) r^(-5/2) b=1 a=-1 " in pretty
 
@@ -278,6 +287,31 @@ def test_published_source_refuses_a_gauge_index(gauge, capsys):
     assert (code, out) == (2, "")
     err = capsys.readouterr().err
     assert f"--gauge {gauge}" in err and "--source published" in err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "compare", "wavefunction", "polys"])
+@pytest.mark.parametrize("level, gauge, gamma", [
+    (["--mode", "free", "--j", "2", "--gauge", "3"], "r^(-7/2) b=-1 a=1", "gamma_3 = 32"),
+    (["--mode", "field", "--j", "1", "--gauge", "0"], "r^(7/2) b=0 a=1", "gamma_2 = 64"),
+], ids=["free-j2-gauge3", "field-j1-gauge0"])
+def test_a_gauge_that_does_not_close_its_module_is_refused(command, level, gauge, gamma,
+                                                           capsys):
+    # free j = 2 candidate 3 is decoupled: alpha_3 = 0 but gamma_3 != 0
+    code, out = run([command, *level])
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert f"gauge {gauge} does not close the module" in err and f"{gamma}, not 0" in err
+
+
+def test_printed_convention_sizes_the_grid_for_its_own_operator():
+    from sextic import oracle
+    code, out = run(["oracle", "--mode", "field", "--m", "3", "--count", "4",
+                     "--convention", "printed"])
+    assert code == 0
+    p = PhysicalParams.from_mapping({}).for_mode("field")
+    want = oracle.suggest_grid(p, 3, "field", 4, convention="printed")
+    assert json.loads(out)["grid"] == {"r_max": want.r_max, "n": want.n}
+    assert want != oracle.suggest_grid(p, 3, "field", 4)
 
 
 @pytest.mark.parametrize("argv", [
@@ -721,16 +755,17 @@ def _count_calls(monkeypatch, *names):
 @pytest.mark.parametrize("argv, derivations, searches", [
     (["compare", "--mode", "field", "--j", "3"], 1, 0),
     (["compare", "--mode", "free", "--j", "3"], 1, 0),
-    (["compare", "--mode", "free", "--j", "3", "--gauge", "0"], 13, 1),
+    (["compare", "--mode", "free", "--j", "0", "--gauge", "3"], 13, 1),
     (["wavefunction", "--mode", "free", "--j", "1", "--samples", "3"], 1, 0),
     (["derive", "--mode", "free", "--j", "3"], 12, 1),
-    (["polys", "--mode", "free", "--j", "3", "--gauge", "1"], 12, 1),
-], ids=["compare-field", "compare-free", "compare-gauge-0", "wavefunction", "derive-free",
-        "polys-gauge-1"])
+    (["polys", "--mode", "free", "--j", "3", "--gauge", "2"], 12, 1),
+], ids=["compare-field", "compare-free", "compare-gauge-3", "wavefunction", "derive-free",
+        "polys-gauge-2"])
 def test_each_command_derives_its_block_once(argv, derivations, searches, monkeypatch):
     # a gauge search derives each of its 12 candidates, and spectrum reuses the
     # chosen one; crosspath_comparison reuses the block when it is the canonical
-    # free block and derives that block itself otherwise (candidate 0 is not it)
+    # free block and derives that block itself otherwise (free j = 0 candidate 3
+    # closes its module but is not it)
     counts = _count_calls(monkeypatch, "derived_recurrence", "gauge_search")
     extra = ["--oracle-n", "128"] if argv[0] == "compare" else []
     assert run(argv + extra)[0] == 0

@@ -111,6 +111,10 @@ def _exactly(got, want):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(p=_polys, q=_polys, x=_points)
 def test_integer_kernels_equal_the_fraction_loops(p, q, x):
+    span = range(max(len(p.c), len(q.c)))
+    assert _exactly(p + q, QPoly([p.coeff(i) + q.coeff(i) for i in span]))
+    assert _exactly(p - q, QPoly([p.coeff(i) - q.coeff(i) for i in span]))
+    assert _exactly(p + x, QPoly([p.coeff(0) + x] + p.c[1:]))
     assert _exactly(p * q, _ref_mul(p, q))
     assert _exactly(p(x), _ref_call(p, x))
     assert _exactly(p.shifted(x), _ref_shifted(p, x))

@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sextic.model import DomainError, PhysicalParams, radial_operator
@@ -378,6 +378,10 @@ def test_bars_cover_closed_forms(n):
 
 
 @settings(max_examples=15, deadline=None)
+# a non-monotone box ladder whose levels all lie 2e-8 to 5e-8 below the closed
+# form: |d12| + |d23| alone missed it, the rounding floor 3.6e-7 covers it
+@example(n=8192, length=1.6227008196689472, m=2, count=1, M=Q(1, 3), omega=Q(1, 3),
+         c=Q(1, 2), hbar=Q(1, 2))
 @given(n=st.integers(512, 8192), length=st.floats(0.5, 8.0), m=st.integers(2, 5),
        count=st.integers(1, 4),
        M=st.fractions(min_value=Q(1, 3), max_value=9, max_denominator=3),
@@ -643,7 +647,7 @@ def test_exact_commands_never_load_scipy():
     exact = [["derive", "--mode", "free", "--j", "2"], ["polys", "--mode", "field", "--j", "4"],
              *(["spectrum", "--mode", mode, "--j", str(j)]
                for mode in ("free", "field") for j in range(21)),
-             ["spectrum", "--mode", "free", "--j", "3", "--gauge", "3"],
+             ["spectrum", "--mode", "free", "--j", "0", "--gauge", "3"],
              ["wavefunction", "--mode", "field", "--j", "2"]]
     _run_fresh("import contextlib, io, sys\n"
                "import sextic.oracle, sextic.verify\n"

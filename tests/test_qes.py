@@ -12,7 +12,7 @@ from sextic import qes
 from sextic.model import PhysicalParams, eta_squared, potential_coefficients
 from sextic.opcalc import (DiffOperator, LaurentPoly, NotQesError, OperatorError, QPoly,
                            commutator, monomial_matrix)
-from sextic.qes import (FamilyConstructionError, QesError, RootPropertyError,
+from sextic.qes import (FamilyConstructionError, OpenModuleError, QesError, RootPropertyError,
                         algebraic_hamiltonian, canonical_gauge, critical_roots,
                         crosspath_comparison, derived_recurrence, gauge_search,
                         isolate_real_roots, ledger_shift_direct,
@@ -480,8 +480,9 @@ def test_every_real_rooted_polynomial_is_a_jacobi_spectrum(roots, twins, gap, le
         assert e.lo <= r <= e.hi and e.width < Q(1, 10**40)
 
 
-# The decoupled blocks (c_1 = 0, so the band cannot be symmetrized) of
-# M = omega = q = 1: gauge-search candidate index -> 50-digit reduced roots.
+# The decoupled bands (c_1 = 0, so the band cannot be symmetrized) of
+# M = omega = q = 1: gauge-search candidate index -> 50-digit reduced roots of
+# the critical polynomial.  None closes its module, so none builds a block.
 DECOUPLED_ROOTS = {
     ("free", 1, 3): [
         "-4.00000000000000000000000000000000000000000000000000",
@@ -509,12 +510,30 @@ DECOUPLED_ROOTS = {
 @pytest.mark.parametrize("key", list(DECOUPLED_ROOTS), ids=lambda k: "%s-j%d-gauge%d" % k)
 def test_decoupled_blocks_take_the_sturm_jacobi_matrix(key, monkeypatch):
     mode, j, index = key
-    cand = gauge_search(natural(), j, mode)[index]
-    assert cand.recurrence.coefficients_at(1)[2] == 0
-    assert polynomial_family(cand.recurrence).jacobi is None
+    rec = gauge_search(natural(), j, mode)[index].recurrence
+    assert rec.coefficients_at(1)[2] == 0
+    family = polynomial_family(rec)
+    assert family.jacobi is None
     monkeypatch.setattr(mpmath, "polyroots", _no_polyroots)
-    spec = spectrum(natural(), j, mode, recurrence=cand.recurrence)
-    assert [decimal_fixed(e.midpoint, 50) for e in spec.roots_reduced] == DECOUPLED_ROOTS[key]
+    roots = critical_roots(family)
+    assert [decimal_fixed(e.midpoint, 50) for e in roots] == DECOUPLED_ROOTS[key]
+    # alpha_{j+1} = 0 but gamma_{j+1} != 0: the roots solve nothing
+    assert rec.truncation_index == j + 1 and not rec.closes
+    with pytest.raises(OpenModuleError, match=f"gamma_{j + 1} = {rec.gamma(Q(j + 1))}, not 0"):
+        spectrum(natural(), j, mode, recurrence=rec)
+
+
+def test_a_closing_block_with_a_negative_c_k_takes_the_sturm_jacobi_matrix(monkeypatch):
+    # q < 0 makes c_1 = alpha_0 gamma_1 negative: the band cannot be symmetrized
+    p = PhysicalParams(M=3, omega=5, q=-2)
+    rec = derived_recurrence(p, 1, None, "free")
+    assert rec.closes and polynomial_family(rec).jacobi is None
+    monkeypatch.setattr(mpmath, "polyroots", _no_polyroots)
+    spec = spectrum(p, 1, "free")
+    assert [decimal_fixed(e.midpoint, 50) for e in spec.roots_reduced] == [
+        "1.08633541039807939302374101454481439819315154146001",
+        "58.91366458960192060697625898545518560180684845853999",
+    ]
 
 
 @pytest.mark.parametrize("coeffs, jacobi, seeds", [

@@ -52,6 +52,19 @@ def test_spectrum_json_carries_provenance():
     assert dumps(blob) == dumps(blob)
 
 
+def test_minus_energy_is_the_negated_plus_at_full_precision():
+    # the minus energy was printed from a negation rounded to 53 bits
+    inexact = 0
+    for mode, j in (("field", 3), ("free", 2), ("free", 5)):
+        spec = spectrum(PhysicalParams(M=5, omega=1, q=1), j, mode, digits=60)
+        for root in spectrum_json(spec, 60)["roots"]:
+            energy = root["energy"]
+            if energy.get("error_bound") == "1.5e-60":
+                assert energy["minus"] == "-" + energy["plus"], (mode, j, root["index"])
+                inexact += 1
+    assert inexact
+
+
 def test_oracle_record_json_rounds_the_order_once_to_3_places():
     rec = EigenvalueRecord(2, 4.5, 4.125, 4.03125, 4.0, 2.0004999, 1e-9, ("ordering",))
     assert oracle_record_json(rec) == {
