@@ -379,7 +379,7 @@ def test_bars_cover_closed_forms(n):
 
 @settings(max_examples=15, deadline=None)
 # a non-monotone box ladder whose levels all lie 2e-8 to 5e-8 below the closed
-# form: |d12| + |d23| alone missed it, the rounding floor 3.6e-7 covers it
+# form: the bar needs the rounding floor (3.6e-7), |d12| + |d23| is 4.3e-8
 @example(n=8192, length=1.6227008196689472, m=2, count=1, M=Q(1, 3), omega=Q(1, 3),
          c=Q(1, 2), hbar=Q(1, 2))
 @given(n=st.integers(512, 8192), length=st.floats(0.5, 8.0), m=st.integers(2, 5),

@@ -53,7 +53,7 @@ def test_spectrum_json_carries_provenance():
 
 
 def test_minus_energy_is_the_negated_plus_at_full_precision():
-    # the minus energy was printed from a negation rounded to 53 bits
+    # minus is plus negated at the block's precision, not at 53 bits
     inexact = 0
     for mode, j in (("field", 3), ("free", 2), ("free", 5)):
         spec = spectrum(PhysicalParams(M=5, omega=1, q=1), j, mode, digits=60)
