@@ -14,6 +14,14 @@ Oteo & Ros 2009), built in numpy.  That count suffices: on the r_max every
 caller passes (``suggest_grid``'s, or pi for the box) doubling it moves no
 root by more than 6e-13 relative.
 
+``dstebz`` is scipy's own, reached through the entry point that
+``scipy.linalg.cython_lapack`` publishes and called through ctypes, which
+releases the GIL.  The solves that do not depend on each other run together
+on one thread pool, a worker per CPU the process may use: the h level beside
+the h/2 level, and the finest level's certifying count beside its bracket
+solves.  Only private helpers run on the pool; every public function runs on
+its caller's thread.
+
 This solver always discretizes the physical operator, constants included;
 algebraic-block eigenvalues are mapped onto the same scale by their ledger
 before any comparison.  A MATCHED/UNMATCHED verdict is an empirical
@@ -24,6 +32,8 @@ closed-form block wavefunctions need not be square integrable.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -154,19 +164,92 @@ def _norm(diag: np.ndarray, off: np.ndarray) -> float:
             + 2.0 * float(np.max(np.abs(off), initial=0.0)))
 
 
-def _stebz(diag: np.ndarray, off: np.ndarray, norm: float, select: str, select_range,
-           tol: float):
-    """LAPACK ``dstebz`` through scipy on the system of norm ``norm`` = ||T||,
-    refused with :class:`DomainError` when ||T|| leaves [1e-135, 1e135], where
-    its answers go silently wrong.  scipy is imported here, on the first call,
-    so that loading the package (and every exact command) never imports it."""
-    from scipy.linalg import eigh_tridiagonal
+def _check_norm(norm: float) -> None:
+    """:class:`DomainError` when ||T|| leaves [1e-135, 1e135], where ``dstebz``'s
+    answers go silently wrong."""
     if not _STEBZ_NORMS[0] <= norm <= _STEBZ_NORMS[1]:
         raise DomainError(f"the tridiagonal system has norm {norm:.3g}, outside "
                           f"[{_STEBZ_NORMS[0]:g}, {_STEBZ_NORMS[1]:g}] where LAPACK dstebz "
                           "is sound; rescale the parameters or r_max")
-    return eigh_tridiagonal(diag, off, eigvals_only=True, select=select,
-                            select_range=select_range, lapack_driver="stebz", tol=tol)
+
+
+_DSTEBZ = None
+
+
+def _dstebz():
+    """LAPACK ``dstebz`` as scipy publishes it in ``cython_lapack``, bound through
+    ctypes, whose foreign calls release the GIL.  Bound on the first call, so that
+    loading the package (and every exact command) never imports scipy."""
+    global _DSTEBZ
+    if _DSTEBZ is None:
+        import ctypes
+        from scipy.linalg.cython_lapack import __pyx_capi__
+
+        capsule, api = __pyx_capi__["dstebz"], ctypes.pythonapi
+        name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+        pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+            ("PyCapsule_GetPointer", api))
+        # all 18 arguments are pointers: RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL, D, E,
+        # M, NSPLIT, W, IBLOCK, ISPLIT, WORK, IWORK, INFO
+        _DSTEBZ = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 18)(pointer(capsule, name(capsule)))
+    return _DSTEBZ
+
+
+def _stebz(diag: np.ndarray, off: np.ndarray, norm: float, select: str, select_range,
+           tol: float) -> np.ndarray:
+    """LAPACK ``dstebz`` on the system of norm ``norm`` = ||T||, refused by
+    :func:`_check_norm` outside [1e-135, 1e135].
+
+    The call and its arguments are those of scipy's ``eigh_tridiagonal(diag, off,
+    eigvals_only=True, select=select, select_range=select_range,
+    lapack_driver="stebz", tol=tol)``: RANGE 'V' over (a, b] or 'I' over the
+    0-based indices (a, b), ORDER 'E', ABSTOL ``tol``.  The work arrays come
+    uninitialised from ``np.empty``, and the GIL is released for the call, so
+    solves on other threads run alongside.  The values returned are a view of
+    a buffer of n values.  ``info`` != 0 raises ``np.linalg.LinAlgError``, a
+    ``ValueError`` as scipy's own errors for it are.
+    """
+    import ctypes
+
+    _check_norm(norm)
+    diag, off = (np.ascontiguousarray(v, dtype=np.float64) for v in (diag, off))
+    n = len(diag)
+    if diag.ndim != 1 or off.shape != (n - 1,):  # dstebz reads n and n - 1 values
+        raise ValueError(f"d {diag.shape} must be 1-D with one more element than e {off.shape}")
+    a, b = select_range
+    vl, vu, il, iu = (a, b, 1, 1) if select == "v" else (0.0, 1.0, a + 1, b + 1)
+    m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
+    w, work = np.empty(n), np.empty(4 * n)
+    iblock, isplit, iwork = (np.empty(k * n, dtype=np.intc) for k in (1, 1, 3))
+    ref, num, dbl = ctypes.byref, ctypes.c_int, ctypes.c_double
+    _dstebz()(select.upper().encode(), b"E", ref(num(n)), ref(dbl(vl)), ref(dbl(vu)),
+              ref(num(il)), ref(num(iu)), ref(dbl(tol)), diag.ctypes.data, off.ctypes.data,
+              ref(m), ref(nsplit), w.ctypes.data, iblock.ctypes.data, isplit.ctypes.data,
+              work.ctypes.data, iwork.ctypes.data, ref(info))
+    if info.value < 0:
+        raise np.linalg.LinAlgError(f"illegal value in argument {-info.value} of dstebz")
+    if info.value:
+        raise np.linalg.LinAlgError(f"dstebz did not converge (LAPACK info={info.value})")
+    return w[:m.value]
+
+
+_POOL = (None, None)  # (pid, executor): a forked child starts a pool of its own
+_POOL_LOCK = threading.Lock()
+
+
+def _pool():
+    """The module's thread pool, one worker per CPU this process may use, made on
+    first use.  Only private helpers run on it: the public functions stay on the
+    caller's thread."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+            _dstebz()  # bound here, so that no two threads import scipy at once
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count())
+            _POOL = (os.getpid(), ThreadPoolExecutor(cpus or 1, thread_name_prefix="sextic-dstebz"))
+        return _POOL[1]
 
 
 def _count_up_to(diag: np.ndarray, off: np.ndarray, norm: float, x: float) -> int:
@@ -189,6 +272,28 @@ def sturm_count(diag: np.ndarray, off: np.ndarray, sigma: float,
     return _count_up_to(diag, off, norm, float(np.nextafter(float(sigma), -np.inf)))
 
 
+def _prepare(diag: np.ndarray, off: np.ndarray, count: int, norm: Optional[float]):
+    """(||T||, bisection tolerance eps * ||T|| / 64) of :func:`eigenvalues_bisection`,
+    after its checks: :class:`DomainError` for a count outside 0..n and, when
+    count > 0, for a norm outside the range of :func:`_check_norm`."""
+    if count < 0:
+        raise DomainError(f"eigenvalue count must be non-negative, got {count}")
+    if count > len(diag):
+        raise DomainError(f"asked for {count} eigenvalues of a {len(diag)}-dimensional system")
+    norm = _norm(diag, off) if norm is None else norm
+    if count:
+        _check_norm(norm)
+    return norm, _EPS * norm / _FLOOR_FRACTION
+
+
+def _lowest(diag: np.ndarray, off: np.ndarray, count: int, norm: float, tol: float) -> np.ndarray:
+    """The lowest ``count`` eigenvalues by one ``dstebz`` call by index."""
+    if count == 0:
+        return np.empty(0)
+    # a copy: dstebz's values are a view of its buffer of n values
+    return _stebz(diag, off, norm, "i", (0, count - 1), tol).copy()
+
+
 def eigenvalues_bisection(diag: np.ndarray, off: np.ndarray, count: int,
                           near: Optional[tuple] = None,
                           norm: Optional[float] = None) -> np.ndarray:
@@ -205,25 +310,23 @@ def eigenvalues_bisection(diag: np.ndarray, off: np.ndarray, count: int,
     exactly one eigenvalue and the Sturm count at the top bracket's upper
     end is ``count``: then they are the lowest ``count`` eigenvalues.
     Otherwise, and without ``near``, one ``dstebz`` call by index from the
-    Gershgorin bounds finds them.  ``norm`` is ||T|| when the caller already
-    holds it.
+    Gershgorin bounds finds them.  The count and the bracket solves run
+    together on the module's thread pool.  ``norm`` is ||T|| when the caller
+    already holds it.
     """
     diag, off = np.asarray(diag, dtype=np.float64), np.asarray(off, dtype=np.float64)
-    n = len(diag)
-    if count < 0:
-        raise DomainError(f"eigenvalue count must be non-negative, got {count}")
-    if count > n:
-        raise DomainError(f"asked for {count} eigenvalues of a {n}-dimensional system")
-    if count == 0:
-        return np.empty(0)
-    norm = _norm(diag, off) if norm is None else norm
-    tol = _EPS * norm / _FLOOR_FRACTION
-    if near is not None:
+    norm, tol = _prepare(diag, off, count, norm)
+    if near is not None and count:
         found = _bracketed(diag, off, norm, count, tol, *near)
         if found is not None:
             return found
-    # a copy: dstebz's values are a view of its buffer of n values
-    return _stebz(diag, off, norm, "i", (0, count - 1), tol).copy()
+    return _lowest(diag, off, count, norm, tol)
+
+
+def _in_bracket(diag, off, norm, a: float, b: float, tol: float):
+    """The one eigenvalue in (a, b], or None when the bracket holds none or several."""
+    values = _stebz(diag, off, norm, "v", (a, b), tol)
+    return values[0] if len(values) == 1 else None
 
 
 def _bracketed(diag, off, norm, count, tol, centres, half_widths) -> Optional[np.ndarray]:
@@ -235,17 +338,25 @@ def _bracketed(diag, off, norm, count, tol, centres, half_widths) -> Optional[np
             or np.any(lo[1:] < hi[:-1])):
         return None
     # the number of eigenvalues <= x grows with x: with count of them <= hi[-1] and
-    # one in each disjoint (lo, hi], none lies below lo[0] or between two brackets
-    if _count_up_to(diag, off, norm, float(hi[-1])) != count:
-        return None
-    found = []
-    for a, b in zip(lo, hi):
-        # dstebz returns a view of a buffer of n values: keep the one value only
-        values = _stebz(diag, off, norm, "v", (a, b), tol)
-        if len(values) != 1:
+    # one in each disjoint (lo, hi], none lies below lo[0] or between two brackets.
+    # The count and the brackets are solved at once and read in that order, so
+    # the first that fails decides, as if they had run one after the other
+    pool = _pool()
+    top = pool.submit(_count_up_to, diag, off, norm, float(hi[-1]))
+    solves = [pool.submit(_in_bracket, diag, off, norm, a, b, tol) for a, b in zip(lo, hi)]
+    try:
+        if top.result() != count:
             return None
-        found.append(values[0])
-    return np.array(found)
+        found = []
+        for solve in solves:
+            value = solve.result()
+            if value is None:
+                return None
+            found.append(value)
+        return np.array(found)
+    finally:
+        for solve in solves:
+            solve.cancel()
 
 
 @dataclass(frozen=True)
@@ -334,8 +445,14 @@ def refine(params: Optional[PhysicalParams], m: int, mode: str, count: int,
         raise DomainError("the oracle needs m >= 1 outside the box: at m = 0 the ladder "
                           "converges at order about 0.2 and no error bar covers it")
     op = BOX if mode == "box" else radial_operator(params, m, mode, convention)
-    v1, v2 = (eigenvalues_bisection(*discretize(op, grid.refined(factor)), count)
-              for factor in (1, 2))
+    # the h level's checks run here, then its solve runs on the pool while the h/2
+    # level is solved here; its error, if any, wins, as when the two ran in turn
+    diag, off = discretize(op, grid)
+    level_h = _pool().submit(_lowest, diag, off, count, *_prepare(diag, off, count, None))
+    try:
+        v2 = eigenvalues_bisection(*discretize(op, grid.refined(2)), count)
+    finally:
+        v1 = level_h.result()
     diag, off = discretize(op, grid.refined(4))
     # eps * ||T|| of the finest level, ||T|| = max|diag| + 2 max|off|: bisection
     # is accurate to a small multiple of it (Demmel 1997, section 5.3)

@@ -737,6 +737,15 @@ def test_a_system_outside_the_dstebz_range_exits_2(argv, capsys):
     assert "dstebz" in capsys.readouterr().err
 
 
+def test_the_refusal_names_the_norm_of_the_coarsest_level(capsys):
+    # the h level is refused before the h/2 level (norm 2.62e+205) is built: its
+    # ||T|| = 4 / h^2 with h = 1e-100 / 128
+    assert run(["oracle", "--box", "--oracle-n", "128", "--rmax", "1e-100"]) == (2, "")
+    assert capsys.readouterr().err == (
+        "sextic: configuration error: the tridiagonal system has norm 6.55e+204, outside "
+        "[1e-135, 1e+135] where LAPACK dstebz is sound; rescale the parameters or r_max\n")
+
+
 # -- each command derives its block once -----------------------------------
 
 def _count_calls(monkeypatch, *names):

@@ -1,9 +1,11 @@
 """Numerical-solver tests: discretization, Sturm counts, refinement, shooting."""
 
+import concurrent.futures
 import math
 import os
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from fractions import Fraction as Q
@@ -16,6 +18,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sextic import oracle
 from sextic.model import DomainError, PhysicalParams, radial_operator
 from sextic.opcalc import DiffOperator, GaugeAnsatz, LaurentPoly
 from sextic.oracle import (BOX, DEFAULT_N, EigenvalueRecord, Grid, OracleSpectrum,
@@ -146,6 +149,41 @@ def test_dstebz_inside_the_range_is_exact(s):
     assert sturm_count(diag, off, 3 * s) == 333
 
 
+def _stebz_cases():
+    """(diag, off) of random systems of 1, 2 and 500 unknowns and of tridiag(-s, 2s, -s)."""
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 500):
+        yield rng.normal(size=n), rng.normal(size=n - 1)
+    for s in (1e130, 1e-130):
+        yield np.full(500, 2 * s), np.full(499, -s)
+
+
+@pytest.mark.parametrize("diag, off", list(_stebz_cases()),
+                         ids=["random-1", "random-2", "random-500", "s-1e130", "s-1e-130"])
+def test_the_binding_equals_scipys_stebz_bit_for_bit(diag, off):
+    norm = oracle._norm(diag, off)
+    n, eps = len(diag), np.finfo(float).eps
+    lam = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
+    low, top, span = float(lam[0]), float(lam[-1]), float(lam[-1] - lam[0]) or 1.0
+    selects = [("i", (0, 0)), ("i", (0, min(n, 5) - 1)), ("i", (n // 2, n - 1)),
+               ("v", (-np.inf, float(lam[n // 2]))), ("v", (low - span, low)),
+               ("v", (top + span, top + 2 * span))]  # the last holds no eigenvalue
+    for select, select_range in selects:
+        for tol in (0.0, eps * norm / 64, np.finfo(float).max):
+            got = oracle._stebz(diag, off, norm, select, select_range, tol)
+            want = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True, select=select,
+                                                 select_range=select_range,
+                                                 lapack_driver="stebz", tol=tol)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), \
+                (select, select_range, tol)
+
+
+def test_the_binding_raises_on_a_lapack_error():
+    diag, off = np.ones(4), np.zeros(3)
+    with pytest.raises(np.linalg.LinAlgError, match="argument 7 of dstebz"):
+        oracle._stebz(diag, off, 1.0, "i", (2, 1), 0.0)  # IU < IL
+
+
 def test_bisection_against_lapack():
     rng = np.random.default_rng(12)
     diag = rng.normal(size=400)
@@ -224,13 +262,13 @@ def _direct(diag, off, count):
 
 def _record_stebz_calls(monkeypatch):
     """[(system size, select)] of every dstebz call the oracle makes."""
-    calls, solve = [], scipy.linalg.eigh_tridiagonal
+    calls, solve = [], oracle._stebz
 
-    def recorded(diag, off, **kwargs):
-        calls.append((len(diag), kwargs["select"]))
-        return solve(diag, off, **kwargs)
+    def recorded(diag, off, norm, select, select_range, tol):
+        calls.append((len(diag), select))
+        return solve(diag, off, norm, select, select_range, tol)
 
-    monkeypatch.setattr("scipy.linalg.eigh_tridiagonal", recorded)
+    monkeypatch.setattr(oracle, "_stebz", recorded)
     return calls
 
 
@@ -241,7 +279,7 @@ def _assert_levels_match_direct(spec, op):
         assert np.all(np.abs(got - _direct(diag, off, len(got))) <= _floor(diag, off) / 4), level
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=12, deadline=None, derandomize=True)
 @given(n=st.sampled_from([256, 512, 1024]), m=st.integers(2, 5), count=st.integers(1, 5),
        mode=st.sampled_from(["free", "field"]),
        M=st.fractions(min_value=Q(1, 3), max_value=9, max_denominator=3),
@@ -287,6 +325,66 @@ def test_overlapping_brackets_fall_back_to_the_plain_solve(monkeypatch):
     assert (4 * grid.n - 1, "i") in calls
     diag, off = discretize(radial_operator(p, 2, "free"), grid.refined(4))
     assert [rec.value_h4 for rec in spec.records] == list(eigenvalues_bisection(diag, off, 5))
+
+
+class _InlineExecutor:
+    """An executor that runs each task at once on the calling thread."""
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+@pytest.mark.parametrize("params, m, mode, count", [
+    (None, 0, "box", 3),
+    (natural(q=0), 2, "free", 4),
+    (PhysicalParams(M=Q(8, 3), omega=2, q=4, hbar=Q(1, 2)), 2, "free", 5),
+    (PhysicalParams(M=3, omega=2, q=Q(1, 3)), 2, "free", 5),
+], ids=["box", "oscillator", "sextic", "overlapping-brackets"])
+def test_the_pool_gives_the_records_of_one_thread(monkeypatch, params, m, mode, count):
+    grid = Grid(math.pi, 1024) if mode == "box" else suggest_grid(params, m, mode, count)
+    threads, solve = set(), oracle._stebz
+
+    def recorded(*args):
+        threads.add(threading.get_ident())
+        return solve(*args)
+
+    monkeypatch.setattr(oracle, "_stebz", recorded)
+    pooled = refine(params, m, mode, count, grid)
+    assert threads - {threading.get_ident()}  # some solves ran on the pool
+    monkeypatch.setattr(oracle, "_pool", _InlineExecutor)
+    threads.clear()
+    assert refine(params, m, mode, count, grid) == pooled
+    assert threads == {threading.get_ident()}
+
+
+def test_refines_on_many_threads_share_the_pool_safely():
+    # six callers on a pool of one worker per CPU, switching threads every 10 us:
+    # each gets the records of its own solve alone
+    cases = [(None, 0, "box", 3, Grid(L, 512)) for L in (1.0, 2.0, math.pi)] + \
+            [(natural(q=0), m, "free", 3, Grid(8.0, 512)) for m in (2, 3, 4)]
+    alone = [refine(*case) for case in cases]
+    got = [None] * len(cases)
+
+    def solve(i):
+        got[i] = refine(*cases[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=solve, args=(i,)) for i in range(len(cases))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == alone
 
 
 def test_the_plain_solve_owns_its_values():
@@ -377,7 +475,7 @@ def test_bars_cover_closed_forms(n):
         _assert_covered(spec, _oscillator_exact(p, 4))
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None, derandomize=True)
 # a non-monotone box ladder whose levels all lie 2e-8 to 5e-8 below the closed
 # form: the bar needs the rounding floor (3.6e-7), |d12| + |d23| is 4.3e-8
 @example(n=8192, length=1.6227008196689472, m=2, count=1, M=Q(1, 3), omega=Q(1, 3),

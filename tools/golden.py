@@ -86,6 +86,12 @@ def _argvs():
     yield ["oracle", "--mode", "field", "--m", "3", "--count", "4", "--convention", "printed"]
     yield ["oracle", "--mode", "free", "--m", "0", "--count", "3"]
     yield ["oracle", "--mode", "field", "--m", "2", "--count", "2", "--rmax", "1e6"]
+    # overlapping finest-level brackets fall back to the plain solve; eight brackets
+    yield ["oracle", "--mode", "free", "--m", "2", "--count", "5", "--M", "3", "--omega", "2",
+           "--q", "1/3"]
+    yield ["oracle", "--mode", "field", "--m", "3", "--count", "8", "--oracle-n", "8192"]
+    # refused at the h level, whose norm the message names
+    yield ["oracle", "--box", "--oracle-n", "128", "--rmax", "1e-100"]
     yield ["wavefunction", "--mode", "field", "--j", "2", "--samples", "5"]
     yield ["wavefunction", "--mode", "field", "--j", "2", "--root-index", "1", "--samples", "5"]
     yield ["wavefunction", "--mode", "free", "--j", "1", "--samples", "5"]
