@@ -1,11 +1,11 @@
 """Energy polynomial tables: mechanical derivation vs the published ones.
 
-The critical polynomial P_{j+1} truncates the series solution; its roots are
-the algebraically solvable block.  This script derives the monic families
-for both modes with exact rational arithmetic and diffs them against the
-tables embedded from the literature, including the one famous discrepancy:
-the linear coefficient of the degree-9 magnetic entry (published 88504707,
-derived 88504704).
+The band of the series solution closes at row j + 1, and the roots of the
+critical polynomial P_{j+1} are the algebraically solvable block.  This
+script derives the monic families for both modes with exact rational
+arithmetic and diffs them against the tables embedded from the literature,
+including the one famous discrepancy: the linear coefficient of the
+degree-9 magnetic entry (published 88504707, derived 88504704).
 """
 
 from sextic.model import PhysicalParams, eta_squared

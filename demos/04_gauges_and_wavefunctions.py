@@ -4,8 +4,9 @@ Both published wavefunction factors carry sign misprints: as printed they do
 not cancel the quartic/sextic growth of the potential.  The finite candidate
 set (two indicial branches x three gaussian signs x two quartic signs) is
 conjugated mechanically; candidates that stay three-term banded are kept and
-annotated with whether they reproduce the published reduced operator and how
-they (fail to) decay.
+annotated with whether their band closes (only then do its critical roots
+solve the radial equation), whether they reproduce the published reduced
+operator and how they (fail to) decay.
 """
 
 import mpmath
@@ -26,11 +27,11 @@ for mode in ("free", "field"):
         if not cand.viable:
             print(f"  {head}\n      rejected: {cand.error}")
             continue
-        d = cand.diagnostics
+        rec = cand.recurrence
         print(f"  {head}")
-        print(f"      truncates: {d['truncates']}  "
-              f"reproduces published operator: {d['reproduces_published_ode']}  "
-              f"ledger shift: {d['ledger_shift']}")
+        print(f"      closes: {rec.closes}  "
+              f"reproduces published operator: {cand.diagnostics['reproduces_published_ode']}  "
+              f"ledger shift: {rec.ledger.shift}")
     print()
 
 print("=" * 72)

@@ -426,7 +426,7 @@ def _pretty_derive(rep: dict):
         rec = row["recurrence"]
         yield f"    operator: {row['reduced_operator']}"
         yield (f"    alpha_k = {rec['alpha_k']}; beta_k = {rec['beta_k']}; "
-               f"gamma_k = {rec['gamma_k']}")
+               f"gamma_k = {rec['gamma_k']}; closes: {str(rec['closes']).lower()}")
         yield (f"    ledger shift = {row['ledger']['shift']}; "
                f"reproduces published operator: {row['reproduces_published_ode']}")
     yield f"published operator: {rep['published_reduced_operator']}"

@@ -703,17 +703,15 @@ def change_variable_sqrt(a: DiffOperator, scale, new_var: str = "rho") -> DiffOp
 # ---------------------------------------------------------------------------
 
 
-def series_recurrence(a: DiffOperator) -> tuple[QPoly, QPoly, QPoly, int | None]:
+def series_recurrence(a: DiffOperator) -> tuple[QPoly, QPoly, QPoly]:
     """Extract the three-term recurrence of ``x F = A F`` on power series.
 
-    Returns ``(alpha, beta, gamma, truncation_index)``, exact polynomials in
-    the row index k: row k reads
-    ``alpha(k) f_{k+1} = (x - beta(k)) f_k - gamma(k) f_{k-1}``, and the
-    series truncates at the least non-negative integer root of alpha (else
-    None).  Requires every term ``rho^e D^d`` of ``a`` to shift monomial
-    degree by -1, 0 or +1 (e - d in that range); otherwise
-    :class:`NotQesError` is raised naming the offending term.  The pipeline
-    only produces operators of order <= 2, which is all that is implemented.
+    Returns ``(alpha, beta, gamma)``, exact polynomials in the row index k:
+    row k reads ``alpha(k) f_{k+1} = (x - beta(k)) f_k - gamma(k) f_{k-1}``.
+    Requires every term ``rho^e D^d`` of ``a`` to shift monomial degree by
+    -1, 0 or +1 (e - d in that range); otherwise :class:`NotQesError` is
+    raised naming the offending term.  The pipeline only produces operators
+    of order <= 2, which is all that is implemented.
     """
     if a.order > 2:
         raise OperatorError("series recurrence implemented for order <= 2 only")
@@ -743,15 +741,4 @@ def series_recurrence(a: DiffOperator) -> tuple[QPoly, QPoly, QPoly, int | None]
     alpha = low.shifted(1)     # multiplies f_{k+1} in row k
     beta = mid
     gamma = up.shifted(-1)     # multiplies f_{k-1} in row k
-    return alpha, beta, gamma, _least_natural_root(alpha)
-
-
-def _least_natural_root(alpha: QPoly) -> int | None:
-    """The least integer k >= 0 with alpha(k) = 0, or None.  The f_0 check
-    makes alpha(-1) = 0, so at order <= 2 alpha = (k + 1)(a_2 k + alpha(0)),
-    whose other root is -alpha(0) / a_2."""
-    if not alpha:
-        return 0
-    a2 = alpha.coeff(2)
-    root = -alpha.coeff(0) / a2 if a2 else Q(-1)
-    return int(root) if root >= 0 and root.denominator == 1 else None
+    return alpha, beta, gamma

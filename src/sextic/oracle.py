@@ -265,11 +265,18 @@ def sturm_count(diag: np.ndarray, off: np.ndarray, sigma: float,
     LAPACK ``dstebz`` over the value range (-inf, sigma'], sigma' the float
     just below sigma: the count comes from the Sturm sequence of T - sigma'.
     An eigenvalue within rounding of sigma may fall on either side.
-    ``norm`` is ||T|| when the caller already holds it.
+    ``norm`` is ||T|| when the caller already holds it.  sigma = -inf counts
+    0 without a solve (LAPACK refuses the empty range); a NaN sigma raises
+    :class:`DomainError`.
     """
+    sigma = float(sigma)
+    if math.isnan(sigma):
+        raise DomainError("sturm_count needs a number sigma, got nan")
+    if sigma == -math.inf:
+        return 0
     diag, off = np.asarray(diag, dtype=np.float64), np.asarray(off, dtype=np.float64)
     norm = _norm(diag, off) if norm is None else norm
-    return _count_up_to(diag, off, norm, float(np.nextafter(float(sigma), -np.inf)))
+    return _count_up_to(diag, off, norm, float(np.nextafter(sigma, -np.inf)))
 
 
 def _prepare(diag: np.ndarray, off: np.ndarray, count: int, norm: Optional[float]):

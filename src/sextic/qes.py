@@ -6,8 +6,9 @@ polynomials in rho (Sl2Realization).  The combination
 block of the spectrum is a matrix eigenproblem; equivalently, the gauged and
 substituted radial operator induces a three-term recurrence on power-series
 coefficients whose polynomial solutions in the eigenvalue symbol are the
-energy polynomials.  Roots of the critical polynomial P_{j+1} truncate the
-series and form the algebraic block.
+energy polynomials.  When the band closes (gamma_{j+1} = 0, the module
+1..rho^j is invariant) the roots of the critical polynomial P_{j+1} form the
+algebraic block.
 
 Two recurrence sources are first class and never merged:
 
@@ -163,7 +164,6 @@ class ThreeTermRecurrence:
     alpha: QPoly
     beta: QPoly
     gamma: QPoly
-    truncation_index: Optional[int]
     source: str
     mode: str
     variable: str
@@ -217,15 +217,13 @@ def published_recurrence(params: PhysicalParams, j: int, mode: str) -> ThreeTerm
         alpha = u * (Q(j) - k)
         beta = -w * (Q(j + 1) - k)
         gamma = k * (Q(j + 2) - k)
-        return ThreeTermRecurrence(j, alpha, beta, gamma, truncation_index=j,
-                                   source="published", mode="free",
+        return ThreeTermRecurrence(j, alpha, beta, gamma, source="published", mode="free",
                                    variable="physical", ledger=SpectralLedger())
     if mode == "field":
         alpha = QPoly.const(u)
         beta = QPoly()
         gamma = k * (Q(j + 2) - k)
-        return ThreeTermRecurrence(j, alpha, beta, gamma, truncation_index=None,
-                                   source="published", mode="field",
+        return ThreeTermRecurrence(j, alpha, beta, gamma, source="published", mode="field",
                                    variable="reduced", ledger=_field_ledger(params, m))
     raise DomainError(f"unknown mode {mode!r}")
 
@@ -262,8 +260,7 @@ def derived_recurrence(params: PhysicalParams, j: int, gauge: GaugeAnsatz | None
     radial = radial_operator(params, m, mode, convention)
     conjugated, ledger = gauge_conjugate(radial, gauge, params.hbar)
     reduced = change_variable_sqrt(conjugated, 2 * params.c * params.hbar)
-    alpha, beta, gamma, trunc = series_recurrence(reduced)
-    return ThreeTermRecurrence(j, alpha, beta, gamma, trunc, "derived", mode, "reduced",
+    return ThreeTermRecurrence(j, *series_recurrence(reduced), "derived", mode, "reduced",
                                ledger, reduced, gauge)
 
 
@@ -718,11 +715,12 @@ def gauge_search(params: PhysicalParams, j: int, mode: str,
 
     Candidates: s in {m+1/2, 1/2-m} (both indicial branches), gaussian in
     {+M omega, -M omega, 0}, quartic in {+q, -q}.  Each kept candidate is
-    annotated with whether its reduced operator reproduces the published one
-    and with its normalizability class; the published forms drop the radial
-    constant, so the annotation also records whether the pipeline's ledger
-    shift matches the published constant (free: yes; field: the published
-    form conflates the two eigenvalue symbols).  ``convention`` is the
+    annotated with whether its reduced operator reproduces the published one;
+    the published forms drop the radial constant, so the annotation also
+    records whether the pipeline's ledger shift matches the published
+    constant (free: yes; field: the published form conflates the two
+    eigenvalue symbols).  The normalizability class, the ledger and closure
+    are read off the candidate's gauge and recurrence.  ``convention`` is the
     field-constant sign of the radial operator (model.MAGNETIC_CONVENTIONS);
     only the ledger depends on it.
     """
@@ -742,18 +740,12 @@ def gauge_search(params: PhysicalParams, j: int, mode: str,
                     rec = derived_recurrence(params, j, g, mode, convention)
                 except (GaugeError, NotQesError) as exc:
                     if include_failures:
-                        results.append(GaugeCandidate(g, None,
-                                                      {"normalizability": g.normalizability},
-                                                      error=str(exc)))
+                        results.append(GaugeCandidate(g, None, {}, error=str(exc)))
                     continue
                 diagnostics = {
-                    "normalizability": g.normalizability,
                     "reproduces_published_ode": rec.operator == published_swept,
                     "published_constant": published_const,
-                    "ledger_shift": rec.ledger.shift,
                     "constant_consistent": published_const == rec.ledger.shift,
-                    "truncation_index": rec.truncation_index,
-                    "truncates": rec.truncation_index is not None,
                 }
                 results.append(GaugeCandidate(g, rec, diagnostics))
     viable = [c for c in results if c.viable]

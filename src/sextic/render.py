@@ -128,7 +128,7 @@ def gauge_candidate_json(index: int, gauge_index: Optional[int], cand) -> dict[s
         "recurrence": {"alpha_k": poly_text(rec.alpha, var="k"),
                        "beta_k": poly_text(rec.beta, var="k"),
                        "gamma_k": poly_text(rec.gamma, var="k"),
-                       "truncation_index": rec.truncation_index},
+                       "closes": rec.closes},
         "ledger": ledger_json(rec.ledger),
         "reproduces_published_ode": cand.diagnostics["reproduces_published_ode"],
         "published_constant": frac_str(cand.diagnostics["published_constant"]),

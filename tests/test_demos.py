@@ -1,4 +1,4 @@
-"""Smoke test: every script in demos/ runs to completion."""
+"""Smoke test: every script in demos/ and the README's library example run to completion."""
 
 import os
 import subprocess
@@ -11,10 +11,21 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_runs(demo):
+def _run(*args):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo):
+    done = _run(str(demo))
+    assert done.returncode == 0, done.stderr
+
+
+def test_readme_library_example_runs():
+    section = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    done = _run("-c", code)
     assert done.returncode == 0, done.stderr

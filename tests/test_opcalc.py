@@ -473,20 +473,12 @@ def test_change_variable_preserves_application():
 
 def test_series_recurrence_euler_band():
     k = QPoly.x()
-    alpha, beta, gamma, _ = series_recurrence(DiffOperator({2: LaurentPoly({1: 1})}, "rho"))
+    alpha, beta, gamma = series_recurrence(DiffOperator({2: LaurentPoly({1: 1})}, "rho"))
     assert alpha == (k + 1) * k
     assert beta == QPoly()
     assert gamma == QPoly()
-    alpha_neg, _, _, _ = series_recurrence(DiffOperator({2: LaurentPoly({1: -1})}, "rho"))
+    alpha_neg, _, _ = series_recurrence(DiffOperator({2: LaurentPoly({1: -1})}, "rho"))
     assert alpha_neg == -(k + 1) * k
-
-
-def test_series_recurrence_truncates_at_any_natural_root():
-    # rho D^2 + c D: alpha(k) = (k + 1)(k + c), a natural root only for c <= 0
-    for c, trunc in ((-100, 100), (-1000, 1000), (-10**6, 10**6), (0, 0), (5, None),
-                     (10**6, None), (Q(-1, 2), None)):
-        op = DiffOperator({2: LaurentPoly({1: 1}), 1: LaurentPoly({0: c})}, "rho")
-        assert series_recurrence(op)[3] == trunc
 
 
 def test_series_recurrence_band_violation():

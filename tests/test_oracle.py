@@ -120,6 +120,17 @@ def test_sturm_count_is_strictly_below_sigma():
             assert sturm_count(diag, off, lam + k * floor) == below + 1
 
 
+def test_sturm_count_at_infinite_and_nan_sigma(capfd):
+    # dstebz refuses the empty range (-inf, -inf] and fails to converge on NaN,
+    # and its error handler prints on stdout: neither value may reach it
+    diag, off = np.full(5, 2.0), np.ones(4)
+    assert sturm_count(diag, off, -math.inf) == 0
+    assert sturm_count(diag, off, math.inf) == 5
+    with pytest.raises(DomainError, match="nan"):
+        sturm_count(diag, off, math.nan)
+    assert capfd.readouterr().out == ""
+
+
 def test_sturm_count_matches_dense_diagonalization():
     rng = np.random.default_rng(5)
     diag = rng.normal(size=64)

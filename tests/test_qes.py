@@ -150,23 +150,24 @@ def test_derived_recurrence_matches_published_operator_forms():
                 assert rec.beta == QPoly()
             else:
                 assert rec.beta + rec.ledger.shift == -w * (Q(j + 1) - k)
-            assert rec.truncation_index == j + 1
+            assert rec.closes
 
 
 @pytest.mark.parametrize("mode", ["free", "field"])
 @pytest.mark.parametrize("j", [63, 64, 100])
 def test_truncation_index_past_j_63(mode, j):
-    # the truncation row is found at any j, not only below a fixed scan depth
-    assert derived_recurrence(natural(), j, None, mode).truncation_index == j + 1
+    # the series truncates at degree j (the band closes) at any j, not only
+    # below a fixed scan depth: gamma = a k + b is linear, and a candidate
+    # closes exactly when its root -b/a is j + 1
+    assert derived_recurrence(natural(), j, None, mode).closes
+    closing = []
     for cand in gauge_search(natural(), j, mode):
-        trunc = cand.recurrence.truncation_index
-        alpha = cand.recurrence.alpha
-        if trunc is None:  # alpha = (k + 1)(a k + b), and -b/a is no natural number
-            quot, rem = alpha.divmod(QPoly.x() + 1)
-            root = -quot.c[0] / quot.c[1]
-            assert not rem and (root < 0 or root.denominator != 1)
-        else:
-            assert not alpha(Q(trunc)) and all(alpha(Q(k)) for k in range(trunc))
+        gamma = cand.recurrence.gamma
+        assert gamma.degree == 1
+        assert cand.recurrence.closes == (-gamma.c[0] / gamma.c[1] == j + 1)
+        if cand.recurrence.closes:
+            closing.append(cand.gauge)
+    assert canonical_gauge(natural(), j + 2, mode) in closing
 
 
 def test_published_recurrence_free_degeneracy():
@@ -250,8 +251,7 @@ def test_family_degenerate_interior_row_raises():
     from sextic.qes import ThreeTermRecurrence
     from sextic.opcalc import SpectralLedger
     k = QPoly.x()
-    rec = ThreeTermRecurrence(j=3, alpha=(k - 1) * (k - 5), beta=QPoly(),
-                              gamma=QPoly(), truncation_index=1,
+    rec = ThreeTermRecurrence(j=3, alpha=(k - 1) * (k - 5), beta=QPoly(), gamma=QPoly(),
                               source="derived", mode="field", variable="reduced",
                               ledger=SpectralLedger())
     with pytest.raises(FamilyConstructionError) as err:
@@ -518,7 +518,7 @@ def test_decoupled_blocks_take_the_sturm_jacobi_matrix(key, monkeypatch):
     roots = critical_roots(family)
     assert [decimal_fixed(e.midpoint, 50) for e in roots] == DECOUPLED_ROOTS[key]
     # alpha_{j+1} = 0 but gamma_{j+1} != 0: the roots solve nothing
-    assert rec.truncation_index == j + 1 and not rec.closes
+    assert not rec.alpha(Q(j + 1)) and not rec.closes
     with pytest.raises(OpenModuleError, match=f"gamma_{j + 1} = {rec.gamma(Q(j + 1))}, not 0"):
         spectrum(natural(), j, mode, recurrence=rec)
 
@@ -724,15 +724,16 @@ def test_gauge_search_annotations():
         # free: the published operator carries its constant; field: the
         # published form silently absorbs it into the eigenvalue symbol
         assert cand.diagnostics["constant_consistent"] is expect_consistent
-        assert cand.diagnostics["truncates"]
+        assert cand.recurrence.closes
 
 
 def test_gauge_search_regular_branch_never_truncates():
+    # no regular-branch band closes, so none truncates the series at degree j
     cands = gauge_search(natural(), 1, "field")
     regular = [c for c in cands if c.gauge.power > 0]
     assert regular
     for c in regular:
-        assert not c.diagnostics["truncates"]
+        assert not c.recurrence.closes
 
 
 @settings(max_examples=16, deadline=None, derandomize=True)
@@ -762,16 +763,40 @@ def test_no_regular_candidate_closes_its_module(M, c, hbar, omega, q, negative_q
                 assert not (closes and cand.gauge.power == j + Q(5, 2)), (mode, j, cand.gauge)
                 if closes:
                     closing += 1
-                    assert cand.diagnostics["normalizability"].startswith(
+                    assert cand.gauge.normalizability.startswith(
                         "divergent-at-origin"), (mode, j, cand.gauge)
     assert closing
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(M=_positive, c=_positive, hbar=_positive, omega=_positive, q=_positive,
+       negative_q=st.booleans())
+def test_quotient_identity_holds_iff_the_band_closes(M, c, hbar, omega, q, negative_q):
+    # F = sum_k P_k(x) rho^k with the unscaled P_0..P_j: A F = x F holds in
+    # Q[x]/(P_{j+1}) exactly for the candidates whose band closes, so closure
+    # alone says whether the critical roots solve the radial equation
+    p = PhysicalParams(M=M, c=c, hbar=hbar, omega=omega, q=-q if negative_q else q)
+    x = QPoly.x()
+    split = [0, 0]
+    for mode in ("free", "field"):
+        for j in range(5):
+            for cand in gauge_search(p, j, mode):
+                rec = cand.recurrence
+                *fs, crit = run_recurrence(rec, x, j + 1)
+                crit = crit.monic()
+                image = rec.operator.apply_coeffs(fs)
+                holds = all(not (g - (x * fs[i] if i < len(fs) else QPoly())) % crit
+                            for i, g in enumerate(image))
+                assert holds == rec.closes, (mode, j, cand.gauge)
+                split[holds] += 1
+    assert all(split)
 
 
 def test_gauge_search_includes_decaying_origin_regular_candidate():
     cands = gauge_search(natural(), 1, "field", include_failures=True)
     classes = {(c.gauge.power > 0, c.gauge.quartic > 0): c for c in cands}
     cand = classes[(True, True)]  # s = m + 1/2, quartic decaying
-    assert cand.diagnostics["normalizability"] == "normalizable"
+    assert cand.gauge.normalizability == "normalizable"
 
 
 # ---------------------------------------------------------------------------
