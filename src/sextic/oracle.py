@@ -5,22 +5,22 @@ handles the centrifugal singularity without special-casing), Sturm-count
 bisection (LAPACK dstebz) for the lowest eigenvalues down to a small
 fraction of the rounding floor eps * ||T||, Richardson extrapolation over
 h, h/2, h/4 with the observed convergence order recorded per eigenvalue
-(the finest level bisected inside brackets that the two coarser levels
-predict), and an independent shooting method (outward regular branch,
-inward decaying tail, eigenvalue at the Wronskian root) for
-cross-validation.  Shooting carries each branch through 2048 fixed steps of
-a fourth-order Magnus propagator (Iserles & Norsett 1999; Blanes, Casas,
-Oteo & Ros 2009), built in numpy.  That count suffices: on the r_max every
-caller passes (``suggest_grid``'s, or pi for the box) doubling it moves no
-root by more than 6e-13 relative.
+(each level bisected inside brackets that the levels below it predict,
+after two cheap predictor levels at 4h and 2h), and an independent shooting
+method (outward regular branch, inward decaying tail, eigenvalue at the
+Wronskian root) for cross-validation.  Shooting carries each branch
+through 2048 fixed steps of a fourth-order Magnus propagator (Iserles &
+Norsett 1999; Blanes, Casas, Oteo & Ros 2009), built in numpy.  That count
+suffices: on the r_max every caller passes (``suggest_grid``'s, or pi for
+the box) doubling it moves no root by more than 6e-13 relative.
 
 ``dstebz`` is scipy's own, reached through the entry point that
 ``scipy.linalg.cython_lapack`` publishes and called through ctypes, which
 releases the GIL.  The solves that do not depend on each other run together
-on one thread pool, a worker per CPU the process may use: the h level beside
-the h/2 level, and the finest level's certifying count beside its bracket
-solves.  Only private helpers run on the pool; every public function runs on
-its caller's thread.
+on one thread pool, a worker per CPU the process may use: the two coarsest
+levels of the ladder side by side, and each bracketed level's certifying
+count beside its bracket solves.  Only private helpers run on the pool;
+every public function runs on its caller's thread.
 
 This solver always discretizes the physical operator, constants included;
 algebraic-block eigenvalues are mapped onto the same scale by their ledger
@@ -366,6 +366,39 @@ def _bracketed(diag, off, norm, count, tol, centres, half_widths) -> Optional[np
             solve.cancel()
 
 
+def _levels(op: DiffOperator, grid: Grid, count: int):
+    """The systems (diag, off) of :func:`refine`'s chain of levels, coarsest first,
+    each discretized when it is asked for: the predictors on n/4 and n/2
+    intervals, each dropped where it is refused (n/4 also where n/2 is), then n,
+    2n and 4n."""
+    coarse = []
+    for k in (2, 4):
+        if grid.n % k:
+            break
+        try:
+            system = discretize(op, Grid(grid.r_max, grid.n // k))
+            _prepare(*system, count, None)
+        except DomainError:
+            break
+        coarse.append(system)
+    while coarse:
+        yield coarse.pop()
+    for factor in (1, 2, 4):
+        yield discretize(op, grid.refined(factor))
+
+
+def _predicted(values: list, floor: float, even_h4: bool):
+    """(centres, half-widths) of the next level's brackets from the ``values`` of the
+    levels below it, coarsest first (see :func:`refine`); ``floor`` is eps * ||T||
+    of the next level."""
+    d2 = values[-2] - values[-1]
+    if even_h4 and len(values) > 2:
+        fourth = values[-3] - values[-2] - 4.0 * d2
+        return (values[-1] - d2 / 4.0 + fourth / 64.0,
+                np.abs(fourth) / 32.0 + _ROUNDING_FLOORS * floor)
+    return values[-1] - d2 / 4.0, np.abs(d2) + _ROUNDING_FLOORS * floor
+
+
 @dataclass(frozen=True)
 class EigenvalueRecord:
     """Convergence record of one eigenvalue over the h, h/2, h/4 ladder.
@@ -421,11 +454,21 @@ def refine(params: Optional[PhysicalParams], m: int, mode: str, count: int,
     covers the error: :class:`DomainError`.
     ``observed_order`` is the raw ladder's log2(d12/d23).
 
-    The finest level is bisected inside brackets that the coarser two
-    predict: the h^2 term puts v_h4 near v_h2 - d12/4, and each bracket
-    reaches |d12| + 4 eps * ||T|| either side of that.
-    :func:`eigenvalues_bisection` certifies that the brackets hold the lowest
-    ``count`` eigenvalues, and otherwise solves from the Gershgorin bounds.
+    The levels form one chain, each h half the one before: predictor levels
+    at 4h and 2h, then h, h/2 and h/4.  A predictor is dropped where n is
+    not divisible by its factor, its grid is invalid or
+    :func:`eigenvalues_bisection` would refuse its system, so with an odd n
+    the chain is h, h/2, h/4 alone.  The two coarsest levels are solved from
+    the Gershgorin bounds, together; every later level is bisected inside
+    brackets that the levels below it predict.  With h' the step of the
+    level below, d1 = v(4h') - v(2h') and d2 = v(2h') - v(h'), the h^2 term
+    puts the level near v(h') - d2/4 and each bracket reaches
+    |d2| + 4 eps * ||T|| either side.  Where the reported value takes the h^4
+    step (the box, and |m| >= 2) and three levels are known, the h^4 term
+    moves the centre by (d1 - 4 d2)/64 and each bracket reaches twice that
+    plus 4 eps * ||T||.  :func:`eigenvalues_bisection` certifies that the
+    brackets hold the lowest ``count`` eigenvalues, and otherwise solves from
+    the Gershgorin bounds.
 
     Flags, each with its cause:
 
@@ -452,26 +495,30 @@ def refine(params: Optional[PhysicalParams], m: int, mode: str, count: int,
         raise DomainError("the oracle needs m >= 1 outside the box: at m = 0 the ladder "
                           "converges at order about 0.2 and no error bar covers it")
     op = BOX if mode == "box" else radial_operator(params, m, mode, convention)
-    # the h level's checks run here, then its solve runs on the pool while the h/2
-    # level is solved here; its error, if any, wins, as when the two ran in turn
-    diag, off = discretize(op, grid)
-    level_h = _pool().submit(_lowest, diag, off, count, *_prepare(diag, off, count, None))
-    try:
-        v2 = eigenvalues_bisection(*discretize(op, grid.refined(2)), count)
-    finally:
-        v1 = level_h.result()
-    diag, off = discretize(op, grid.refined(4))
-    # eps * ||T|| of the finest level, ||T|| = max|diag| + 2 max|off|: bisection
-    # is accurate to a small multiple of it (Demmel 1997, section 5.3)
-    norm = _norm(diag, off)
-    floor = _EPS * norm
-    v3 = eigenvalues_bisection(diag, off, count, (v2 - (v1 - v2) / 4.0,
-                                                  np.abs(v1 - v2) + _ROUNDING_FLOORS * floor),
-                               norm)
     # near the origin the solution goes as r^(m+1/2), which adds an h^(2m+1)
     # term to the error: the h^4 step needs it past h^4, so |m| >= 2 (the box
     # solution is smooth)
     even_h4 = mode == "box" or abs(m) >= 2
+    levels = _levels(op, grid, count)
+    # the two coarsest levels are solved by index: the first's checks run here, then
+    # its solve runs on the pool while the second is solved here; its error, if
+    # any, wins, as when the two ran in turn
+    diag, off = next(levels)
+    first = _pool().submit(_lowest, diag, off, count, *_prepare(diag, off, count, None))
+    try:
+        second = eigenvalues_bisection(*next(levels), count)
+    finally:
+        values = [first.result()]
+    values.append(second)
+    for diag, off in levels:
+        # eps * ||T||, ||T|| = max|diag| + 2 max|off|: bisection is accurate to a
+        # small multiple of it (Demmel 1997, section 5.3).  The records below
+        # read diag, off, norm and floor of the last level, the finest
+        norm = _norm(diag, off)
+        floor = _EPS * norm
+        values.append(eigenvalues_bisection(diag, off, count,
+                                            _predicted(values, floor, even_h4), norm))
+    v1, v2, v3 = values[-3:]
     records = []
     prev = -math.inf
     for i in range(count):

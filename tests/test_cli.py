@@ -706,12 +706,12 @@ _FIELD_J1_BLOCK = (
 
 
 @pytest.mark.parametrize("extra, lines", [
-    ([], ["  match root 0: UNMATCHED (nearest 10.68244202322487, rel gap 1.7822037072426054)",
-          "  match root 1: UNMATCHED (nearest 10.68244202322487, rel gap 5.55901730436983)"]),
+    ([], ["  match root 0: UNMATCHED (nearest 10.682442023247496, rel gap 1.7822037072442622)",
+          "  match root 1: UNMATCHED (nearest 10.682442023247496, rel gap 5.559017304379486)"]),
     (["--oracle-n", "8192"],
-     ["  match root 0: UNMATCHED (nearest 10.68244200591192, rel gap 1.782203705974894, "
+     ["  match root 0: UNMATCHED (nearest 10.682442006693735, rel gap 1.7822037060321414, "
       "oracle flags rounding-limited)",
-      "  match root 1: UNMATCHED (nearest 10.68244200591192, rel gap 5.559017296981066, "
+      "  match root 1: UNMATCHED (nearest 10.682442006693735, rel gap 5.5590172973147265, "
       "oracle flags rounding-limited)"]),
     (["--rmax", "1e6", "--oracle-n", "256", "--count", "4"],
      ["  match root 0: UNMATCHED (nearest None, rel gap None)",

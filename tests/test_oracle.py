@@ -291,7 +291,7 @@ def _assert_levels_match_direct(spec, op):
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
-@given(n=st.sampled_from([256, 512, 1024]), m=st.integers(2, 5), count=st.integers(1, 5),
+@given(n=st.sampled_from([256, 512, 1024]), m=st.integers(1, 5), count=st.integers(1, 5),
        mode=st.sampled_from(["free", "field"]),
        M=st.fractions(min_value=Q(1, 3), max_value=9, max_denominator=3),
        omega=st.fractions(min_value=Q(1, 3), max_value=9, max_denominator=3),
@@ -311,12 +311,15 @@ def test_every_level_agrees_with_a_direct_solve(n, m, count, mode, M, omega, q, 
                                 radial_operator(p0, m, "free"))
 
 
-@pytest.mark.parametrize("params, m, mode, count", [
+_BRACKETED = pytest.mark.parametrize("params, m, mode, count", [
     (None, 0, "box", 3),
     (natural(q=0), 2, "free", 4),
     (natural(), 3, "field", 4),
     (PhysicalParams(M=Q(8, 3), omega=2, q=4, hbar=Q(1, 2)), 2, "free", 5),
 ], ids=["box", "oscillator", "field", "sextic"])
+
+
+@_BRACKETED
 def test_the_finest_level_is_bisected_inside_its_brackets(monkeypatch, params, m, mode, count):
     grid = Grid(math.pi, 1024) if mode == "box" else suggest_grid(params, m, mode, count)
     calls = _record_stebz_calls(monkeypatch)
@@ -325,6 +328,53 @@ def test_the_finest_level_is_bisected_inside_its_brackets(monkeypatch, params, m
     assert (finest, "i") not in calls
     assert calls.count((finest, "v")) == count + 2  # top count, count brackets, upper neighbour
     assert not any("near-degenerate" in rec.flags for rec in spec.records)
+
+
+def _index_solves(calls):
+    return sorted(size for size, select in calls if select == "i")
+
+
+@_BRACKETED
+def test_only_the_predictor_levels_are_solved_by_index(monkeypatch, params, m, mode, count):
+    # the n/4 and n/2 predictors are solved from the Gershgorin bounds; the three
+    # reported levels n, 2n and 4n are each bisected inside their brackets
+    grid = Grid(math.pi, 1024) if mode == "box" else suggest_grid(params, m, mode, count)
+    calls = _record_stebz_calls(monkeypatch)
+    refine(params, m, mode, count, grid)
+    n = grid.n
+    assert _index_solves(calls) == [n // 4 - 1, n // 2 - 1]
+    for size in (n - 1, 2 * n - 1, 4 * n - 1):
+        assert calls.count((size, "v")) >= count + 1, size  # top count and count brackets
+
+
+@pytest.mark.parametrize("params, m, mode", [(None, 0, "box"), (natural(q=0), 2, "free")],
+                         ids=["box", "oscillator"])
+def test_an_odd_n_has_no_predictor(monkeypatch, params, m, mode):
+    # the h and h/2 levels are solved by index, the finest inside its brackets
+    grid = Grid(math.pi, 1001) if mode == "box" else suggest_grid(params, m, mode, 3, n=1001)
+    calls = _record_stebz_calls(monkeypatch)
+    spec = refine(params, m, mode, 3, grid)
+    n = grid.n
+    assert sorted(calls) == [(n - 1, "i"), (2 * n - 1, "i")] + [(4 * n - 1, "v")] * 5
+    _assert_levels_match_direct(spec, BOX if mode == "box" else radial_operator(params, m, mode))
+
+
+@pytest.mark.parametrize("r_max, count, coarsest", [
+    # the n/4 system has 63 unknowns, fewer than the 70 eigenvalues asked for
+    (math.pi, 70, 128),
+    # ||T|| = 4 / h^2 is 8e-135 at the h level, 2e-135 at n/2 and 5e-136 at n/4
+    (256 * math.sqrt(5e134), 3, 128),
+    # 2e-135 at the h level: both predictors fall below 1e-135
+    (256 * math.sqrt(2e135), 3, 256),
+], ids=["count", "n/4-norm", "both-norms"])
+def test_a_refused_predictor_is_dropped(monkeypatch, r_max, count, coarsest):
+    grid = Grid(r_max, 256)
+    calls = _record_stebz_calls(monkeypatch)
+    spec = refine(None, 0, "box", count, grid)
+    assert {size for size, _ in calls} == {k - 1 for k in (64, 128, 256, 512, 1024)
+                                           if k >= coarsest}
+    assert _index_solves(calls)[:2] == [coarsest - 1, 2 * coarsest - 1]
+    _assert_levels_match_direct(spec, BOX)
 
 
 def test_overlapping_brackets_fall_back_to_the_plain_solve(monkeypatch):

@@ -90,6 +90,12 @@ def _argvs():
     yield ["oracle", "--mode", "free", "--m", "2", "--count", "5", "--M", "3", "--omega", "2",
            "--q", "1/3"]
     yield ["oracle", "--mode", "field", "--m", "3", "--count", "8", "--oracle-n", "8192"]
+    # the h^2 bracket width at m = 1; an odd n (no predictor level); one predictor
+    # (n/4 = 32 is too coarse); the n/4 predictor has fewer unknowns than the count
+    yield ["oracle", "--mode", "field", "--m", "1", "--count", "4"]
+    yield ["oracle", "--box", "--count", "3", "--oracle-n", "1001"]
+    yield ["oracle", "--box", "--count", "3", "--oracle-n", "128"]
+    yield ["oracle", "--mode", "free", "--m", "2", "--count", "70", "--oracle-n", "256"]
     # refused at the h level, whose norm the message names
     yield ["oracle", "--box", "--oracle-n", "128", "--rmax", "1e-100"]
     yield ["wavefunction", "--mode", "field", "--j", "2", "--samples", "5"]
