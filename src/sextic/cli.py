@@ -217,7 +217,6 @@ def _select_gauge(cfg: RunConfig, j: int):
 
 def cmd_derive(cfg: RunConfig) -> dict:
     j = cfg.level()
-    cfg.params.require_qes()
     candidates = gauge_search(cfg.params, j, cfg.mode, include_failures=True,
                               convention=cfg.convention)
     ranks = itertools.count()  # --gauge indexes the viable candidates only
@@ -245,7 +244,6 @@ def _term_diff(derived, published) -> list[dict]:
 
 def cmd_polys(cfg: RunConfig) -> dict:
     j = cfg.level()
-    cfg.params.require_qes()
     return _polys(cfg, polynomial_family(_select_gauge(cfg, j)))
 
 
@@ -286,7 +284,6 @@ def _block(cfg: RunConfig, source: str = "derived") -> QesSpectrum:
         raise ConfigError(f"--gauge {cfg.gauge} selects a derived gauge; "
                           "--source published has none")
     j = cfg.level()
-    cfg.params.require_qes()
     rec = _select_gauge(cfg, j) if source == "derived" else None
     return spectrum(cfg.params, j, cfg.mode, source, cfg.digits, rec)
 

@@ -135,14 +135,13 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class SpectralValue:
-    """A value of eps^2 = E^2 - M^2 c^4 with its energy pair, when real.
+    """The energy pair of one value of eps^2 = E^2 - M^2 c^4, when real.
 
     ``energy`` is ``(+E, -E)`` (Fraction when the square root is rational,
     mpmath otherwise) or None when M^2 c^4 + eps^2 < 0, in which case the
     subcritical flag is set instead of failing.
     """
 
-    epsilon_squared: Fraction
     energy: Optional[tuple] = None
     subcritical: bool = False
     exact: bool = True
@@ -167,13 +166,13 @@ def energy_from_epsilon2(params: PhysicalParams, x, digits: int = 50) -> Spectra
     x = parse_rational(x) if not isinstance(x, Fraction) else x
     e2 = params.M**2 * params.c**4 + x
     if e2 < 0:
-        return SpectralValue(x, None, subcritical=True, exact=True)
+        return SpectralValue(None, subcritical=True, exact=True)
     root = _rational_sqrt(e2)
     if root is not None:
-        return SpectralValue(x, (root, -root), exact=True)
+        return SpectralValue((root, -root), exact=True)
     with mpmath.workdps(digits + 10):
         e = mpmath.sqrt(mpmath.mpf(e2.numerator) / mpmath.mpf(e2.denominator))
-        return SpectralValue(x, (+e, -e), exact=False)
+        return SpectralValue((+e, -e), exact=False)
 
 
 def eta_squared(params: PhysicalParams) -> Fraction:

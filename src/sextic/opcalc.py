@@ -664,8 +664,8 @@ def gauge_conjugate(a: DiffOperator, g: GaugeAnsatz, hbar) -> tuple[DiffOperator
 # ---------------------------------------------------------------------------
 
 
-def change_variable_sqrt(a: DiffOperator, scale, new_var: str = "rho") -> DiffOperator:
-    """Rewrite ``a`` in ``rho = r^2 / scale^2``, exactly.
+def change_variable_sqrt(a: DiffOperator, scale) -> DiffOperator:
+    """Rewrite ``a`` in ``rho = r^2 / scale^2``, exactly: an operator in ``rho``.
 
     Each term ``r^p D_r^d`` requires ``p == d (mod 2)``; the pipeline only
     produces operators of order <= 2, which is all that is implemented.
@@ -695,7 +695,7 @@ def change_variable_sqrt(a: DiffOperator, scale, new_var: str = "rho") -> DiffOp
                 #           + 2 scale^(p-2) rho^(p/2) D_rho
                 add(2, Q(p, 2) + 1, 4 * v * scale ** (p - 2))
                 add(1, Q(p, 2), 2 * v * scale ** (p - 2))
-    return DiffOperator({k: LaurentPoly(d) for k, d in out.items()}, new_var)
+    return DiffOperator({k: LaurentPoly(d) for k, d in out.items()}, "rho")
 
 
 # ---------------------------------------------------------------------------

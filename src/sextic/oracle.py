@@ -258,16 +258,14 @@ def _count_up_to(diag: np.ndarray, off: np.ndarray, norm: float, x: float) -> in
     return len(_stebz(diag, off, norm, "v", (-np.inf, x), np.finfo(float).max))
 
 
-def sturm_count(diag: np.ndarray, off: np.ndarray, sigma: float,
-                norm: Optional[float] = None) -> int:
+def sturm_count(diag: np.ndarray, off: np.ndarray, sigma: float) -> int:
     """Number of eigenvalues of the tridiagonal system strictly below sigma.
 
     LAPACK ``dstebz`` over the value range (-inf, sigma'], sigma' the float
     just below sigma: the count comes from the Sturm sequence of T - sigma'.
-    An eigenvalue within rounding of sigma may fall on either side.
-    ``norm`` is ||T|| when the caller already holds it.  sigma = -inf counts
-    0 without a solve (LAPACK refuses the empty range); a NaN sigma raises
-    :class:`DomainError`.
+    An eigenvalue within rounding of sigma may fall on either side.  ||T||
+    comes from ``diag`` and ``off``.  sigma = -inf counts 0 without a solve
+    (LAPACK refuses the empty range); a NaN sigma raises :class:`DomainError`.
     """
     sigma = float(sigma)
     if math.isnan(sigma):
@@ -275,11 +273,10 @@ def sturm_count(diag: np.ndarray, off: np.ndarray, sigma: float,
     if sigma == -math.inf:
         return 0
     diag, off = np.asarray(diag, dtype=np.float64), np.asarray(off, dtype=np.float64)
-    norm = _norm(diag, off) if norm is None else norm
-    return _count_up_to(diag, off, norm, float(np.nextafter(sigma, -np.inf)))
+    return _count_up_to(diag, off, _norm(diag, off), float(np.nextafter(sigma, -np.inf)))
 
 
-def _prepare(diag: np.ndarray, off: np.ndarray, count: int, norm: Optional[float]):
+def _prepare(diag: np.ndarray, off: np.ndarray, count: int):
     """(||T||, bisection tolerance eps * ||T|| / 64) of :func:`eigenvalues_bisection`,
     after its checks: :class:`DomainError` for a count outside 0..n and, when
     count > 0, for a norm outside the range of :func:`_check_norm`."""
@@ -287,7 +284,7 @@ def _prepare(diag: np.ndarray, off: np.ndarray, count: int, norm: Optional[float
         raise DomainError(f"eigenvalue count must be non-negative, got {count}")
     if count > len(diag):
         raise DomainError(f"asked for {count} eigenvalues of a {len(diag)}-dimensional system")
-    norm = _norm(diag, off) if norm is None else norm
+    norm = _norm(diag, off)
     if count:
         _check_norm(norm)
     return norm, _EPS * norm / _FLOOR_FRACTION
@@ -302,12 +299,12 @@ def _lowest(diag: np.ndarray, off: np.ndarray, count: int, norm: float, tol: flo
 
 
 def eigenvalues_bisection(diag: np.ndarray, off: np.ndarray, count: int,
-                          near: Optional[tuple] = None,
-                          norm: Optional[float] = None) -> np.ndarray:
+                          near: Optional[tuple] = None) -> np.ndarray:
     """Lowest ``count`` eigenvalues by Sturm-count bisection.
 
     LAPACK ``dstebz`` (Barth-Martin-Wilkinson bisection with a pivot guard)
-    with the absolute tolerance eps * ||T|| / 64.  Bisection's own error is
+    with the absolute tolerance eps * ||T|| / 64, ||T|| = max|diag| + 2 max|off|
+    formed from the system itself.  Bisection's own error is
     of the order of the rounding floor eps * ||T|| (Demmel 1997, section
     5.3), so halving further adds nothing; this stops 6 halvings past it.
 
@@ -318,11 +315,10 @@ def eigenvalues_bisection(diag: np.ndarray, off: np.ndarray, count: int,
     end is ``count``: then they are the lowest ``count`` eigenvalues.
     Otherwise, and without ``near``, one ``dstebz`` call by index from the
     Gershgorin bounds finds them.  The count and the bracket solves run
-    together on the module's thread pool.  ``norm`` is ||T|| when the caller
-    already holds it.
+    together on the module's thread pool.
     """
     diag, off = np.asarray(diag, dtype=np.float64), np.asarray(off, dtype=np.float64)
-    norm, tol = _prepare(diag, off, count, norm)
+    norm, tol = _prepare(diag, off, count)
     if near is not None and count:
         found = _bracketed(diag, off, norm, count, tol, *near)
         if found is not None:
@@ -377,7 +373,7 @@ def _levels(op: DiffOperator, grid: Grid, count: int):
             break
         try:
             system = discretize(op, Grid(grid.r_max, grid.n // k))
-            _prepare(*system, count, None)
+            _prepare(*system, count)
         except DomainError:
             break
         coarse.append(system)
@@ -504,7 +500,7 @@ def refine(params: Optional[PhysicalParams], m: int, mode: str, count: int,
     # its solve runs on the pool while the second is solved here; its error, if
     # any, wins, as when the two ran in turn
     diag, off = next(levels)
-    first = _pool().submit(_lowest, diag, off, count, *_prepare(diag, off, count, None))
+    first = _pool().submit(_lowest, diag, off, count, *_prepare(diag, off, count))
     try:
         second = eigenvalues_bisection(*next(levels), count)
     finally:
@@ -513,11 +509,9 @@ def refine(params: Optional[PhysicalParams], m: int, mode: str, count: int,
     for diag, off in levels:
         # eps * ||T||, ||T|| = max|diag| + 2 max|off|: bisection is accurate to a
         # small multiple of it (Demmel 1997, section 5.3).  The records below
-        # read diag, off, norm and floor of the last level, the finest
-        norm = _norm(diag, off)
-        floor = _EPS * norm
-        values.append(eigenvalues_bisection(diag, off, count,
-                                            _predicted(values, floor, even_h4), norm))
+        # read diag, off and floor of the last level, the finest
+        floor = _EPS * _norm(diag, off)
+        values.append(eigenvalues_bisection(diag, off, count, _predicted(values, floor, even_h4)))
     v1, v2, v3 = values[-3:]
     records = []
     prev = -math.inf
@@ -526,7 +520,7 @@ def refine(params: Optional[PhysicalParams], m: int, mode: str, count: int,
         if i + 1 < count:
             upper = v3[i + 1] - v3[i] < abs(d12)
         else:  # one Sturm count: does the next eigenvalue lie within |d12|?
-            upper = sturm_count(diag, off, v3[i] + abs(d12), norm) > count
+            upper = sturm_count(diag, off, v3[i] + abs(d12)) > count
         lower = i > 0 and v3[i] - v3[i - 1] < abs(d12)
         flags = []
         order = None
@@ -692,22 +686,21 @@ def _max_relative(sample, x, window: tuple[float, float], samples: int) -> float
     return float(num / den)
 
 
-def residual(wf: RadialWavefunction, op: DiffOperator, x,
-             window: tuple[float, float] = (0.5, 2.5), samples: int = 33,
-             digits: int = 50) -> float:
+def residual(wf: RadialWavefunction, op: DiffOperator, x) -> float:
     """Relative residual of the closed-form wavefunction against op = -k D^2 + U(r).
 
-    The second derivative is formed symbolically (the gauge factor's
-    logarithmic derivative is a Laurent polynomial; the series part is a
-    polynomial), floats enter only in the final evaluation.  For an algebraic
-    block root this vanishes to root precision whether or not the function is
-    normalizable.
+    Measured as :func:`ode_residual` measures it, at 33 even nodes of r in
+    [0.5, 2.5], worked at 60 digits.  The second derivative is formed
+    symbolically (the gauge factor's logarithmic derivative is a Laurent
+    polynomial; the series part is a polynomial), floats enter only in the
+    final evaluation.  For an algebraic block root this vanishes to root
+    precision whether or not the function is normalizable.
     """
     kin = _kinetic(op)
     g = wf.gauge
     w = g.log_derivative(wf.hbar)
 
-    with mpmath.workdps(digits + 10):
+    with mpmath.workdps(60):
         mult, wc, dwc = ({e: _to_mpf(v) for e, v in lp.d.items()}
                          for lp in (op.coeff(0), w, w.derivative()))
         poly = wf.polynomial_in_r()
@@ -730,7 +723,7 @@ def residual(wf: RadialWavefunction, op: DiffOperator, x,
             return fv, -kv * d2 + _power_sum(mult, r, rp) * fv
 
         xv = x if isinstance(x, mpmath.mpf) else _to_mpf(Q(x)) if isinstance(x, (int, Fraction)) else mpmath.mpf(x)
-        return _max_relative(sample, xv, window, samples)
+        return _max_relative(sample, xv, (0.5, 2.5), 33)
 
 
 # ---------------------------------------------------------------------------
@@ -752,12 +745,9 @@ class MatchEntry:
 
 @dataclass(frozen=True)
 class MatchReport:
-    """Nearest-neighbor comparison of ledger-aligned block roots vs solver eigenvalues."""
+    """Nearest-neighbor comparison of ledger-aligned block roots vs solver eigenvalues:
+    one :class:`MatchEntry` per block root, in root order."""
 
-    mode: str
-    m: int
-    tolerance: float
-    ledger_shift: str
     entries: tuple[MatchEntry, ...]
 
     @property
@@ -799,7 +789,7 @@ def match_report(qes: QesSpectrum, oracle: OracleSpectrum, tol: float = 1e-4) ->
                                       verdict, rec.flags))
         else:
             entries.append(MatchEntry(idx, qv, None, None, None, None, "UNMATCHED"))
-    return MatchReport(qes.mode, qes.m, tol, str(qes.ledger.shift), tuple(entries))
+    return MatchReport(tuple(entries))
 
 
 # ---------------------------------------------------------------------------

@@ -609,16 +609,24 @@ def spectrum(params: PhysicalParams, j: int, mode: str, source: str = "derived",
 
     ``recurrence`` is the derived recurrence to use when the caller already
     holds one (a gauge-search candidate's, or one of another field-constant
-    convention); else the canonical gauge's is derived.  A derived band that
-    does not close raises :class:`OpenModuleError`.
+    convention); else the canonical gauge's is derived.  A ``recurrence``
+    that is not a derived one of level ``j`` and mode ``mode``, or one given
+    with ``source="published"``, raises :class:`QesError`.  A derived band
+    that does not close raises :class:`OpenModuleError`.
     """
     params.require_qes()
     params = params.for_mode(mode)
     if source == "derived":
         rec = recurrence or derived_recurrence(params, j, None, mode)
+        if (rec.source, rec.j, rec.mode) != ("derived", j, mode):
+            raise QesError(f"a {rec.source} j = {rec.j} {rec.mode}-mode recurrence cannot "
+                           f"build the derived j = {j} {mode}-mode block")
         if not rec.closes:
             raise OpenModuleError(rec)
     elif source == "published":
+        if recurrence is not None:
+            raise QesError("a published block is built from the published recurrence, "
+                           "not from one passed in")
         rec = published_recurrence(params, j, mode)
     else:
         raise QesError(f"unknown source {source!r}")
@@ -650,7 +658,6 @@ class RadialWavefunction:
     gauge: GaugeAnsatz
     scale: Fraction
     coefficients: tuple
-    m: int
     hbar: Fraction
 
     @property
@@ -687,8 +694,7 @@ def wavefunction(spec: QesSpectrum, index: int) -> RadialWavefunction:
     if spec.gauge is None:
         raise QesError(f"a {spec.source} block has no gauge and so no closed-form eigenfunction")
     p = spec.params
-    return RadialWavefunction(spec.gauge, 2 * p.c * p.hbar, spec.coefficients[index], spec.m,
-                              p.hbar)
+    return RadialWavefunction(spec.gauge, 2 * p.c * p.hbar, spec.coefficients[index], p.hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -817,7 +823,6 @@ def crosspath_comparison(params: PhysicalParams, j: int,
     match_published = cp.shifted(offset_published) == critical
     return {
         "charpoly_module": cp,
-        "critical_physical": critical,
         "offset_published": offset_published,
         "offset_implied": offset_implied,
         "q_flipped_in_module_hamiltonian": True,

@@ -57,13 +57,13 @@ def poly_json(p: QPoly) -> list[str]:
     return [frac_str(a) for a in p.c]
 
 
-def poly_text(p: QPoly, var: str = "x", unit: Fraction | None = None,
-              unit_name: str = "eta^2") -> str:
+def poly_text(p: QPoly, var: str = "x", unit: Fraction | None = None) -> str:
     """Readable exact polynomial, highest power first.
 
     When ``unit`` is given, coefficients divisible by a power of it are
-    rendered as multiples of ``unit_name`` (the field-mode tables are stated
-    in powers of the sextic scale, which keeps the comparison readable).
+    rendered as multiples of ``eta^2``, ``eta^4``, ... (``unit`` is the
+    sextic scale eta^2: the field-mode tables are stated in its powers, which
+    keeps the comparison readable).
     """
     if not p.c:
         return "0"
@@ -81,7 +81,7 @@ def poly_text(p: QPoly, var: str = "x", unit: Fraction | None = None,
                 if scaled.denominator == 1:
                     mag = abs(scaled)
                     sgn = "-" if scaled < 0 else ""
-                    upow = unit_name if pw == 1 else f"{unit_name[:-2]}^{2 * pw}"
+                    upow = f"eta^{2 * pw}"
                     coeff_txt = f"{sgn}{mag}*{upow}" if mag != 1 else f"{sgn}{upow}"
         if coeff_txt is None:
             coeff_txt = frac_str(a)

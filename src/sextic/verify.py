@@ -36,10 +36,10 @@ class CheckResult:
     detail: str
 
 
-def _params_grid(seed: int = 20250810, count: int = 5) -> list[PhysicalParams]:
-    rng = random.Random(seed)
+def _params_grid() -> list[PhysicalParams]:
+    rng = random.Random(20250810)
     out = []
-    for _ in range(count):
+    for _ in range(5):
         out.append(PhysicalParams(
             M=Q(rng.randint(1, 9), rng.randint(1, 3)),
             c=Q(rng.choice([1, 1, 2]), 1),

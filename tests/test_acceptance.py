@@ -132,8 +132,7 @@ def test_criterion_6_closed_form_residuals():
             spec = spectrum(NAT, j, mode, digits=50)
             for i, ph in enumerate(spec.roots_physical):
                 wf = wavefunction(spec, i)
-                res = oracle_mod.residual(wf, radial_operator(NAT, j + 2, mode), ph.mpf(50),
-                                          window=(0.5, 2.5))
+                res = oracle_mod.residual(wf, radial_operator(NAT, j + 2, mode), ph.mpf(50))
                 worst = max(worst, res)
                 count += 1
                 assert res < 1e-10, f"{mode} j={j}: {res}"

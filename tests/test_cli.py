@@ -332,6 +332,15 @@ def test_bad_input_exits_2(argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["derive", "polys", "spectrum", "compare", "wavefunction"])
+def test_q_0_is_refused_before_any_output(command, capsys):
+    code, out = run([command, "--mode", "field", "--j", "1", "--q", "0"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "sextic: configuration error: q = 0: the sextic term is absent and the algebraic "
+        "block degenerates\n")
+
+
 def test_config_file_bad_integer_exits_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("mode=field\nj=one\n")

@@ -655,6 +655,25 @@ def test_spectrum_published_source():
     assert spec.ledger.shift == 0
 
 
+def test_spectrum_refuses_a_recurrence_of_another_block():
+    p = natural()
+    free_j2 = derived_recurrence(p, 2, None, "free")
+    assert spectrum(p, 2, "free", recurrence=free_j2).roots_reduced == \
+        spectrum(p, 2, "free").roots_reduced
+    # another level: 3 roots with 4 series coefficients each
+    with pytest.raises(QesError, match="j = 2 free-mode recurrence cannot build the derived "
+                                       "j = 3 free-mode block"):
+        spectrum(p, 3, "free", recurrence=free_j2)
+    # another mode: a free block carrying the field-mode B = 2
+    with pytest.raises(QesError, match="cannot build the derived j = 2 field-mode block"):
+        spectrum(p, 2, "field", recurrence=free_j2)
+    # the published source reads no recurrence
+    with pytest.raises(QesError, match="published block is built from the published recurrence"):
+        spectrum(p, 2, "free", source="published", recurrence=free_j2)
+    with pytest.raises(QesError, match="a published j = 2 free-mode recurrence cannot build"):
+        spectrum(p, 2, "free", recurrence=published_recurrence(p, 2, "free"))
+
+
 def test_spectrum_coefficient_vectors():
     spec = spectrum(natural(), 1, "field", digits=30)
     for row, enc in zip(spec.coefficients, spec.roots_reduced):
@@ -692,7 +711,7 @@ def test_wavefunction_reads_the_block_coefficients():
     spec = spectrum(natural(), 2, "free", digits=30)
     for i, row in enumerate(spec.coefficients):
         wf = wavefunction(spec, i)
-        assert wf.gauge == spec.gauge and wf.m == spec.m
+        assert wf.gauge == spec.gauge
         assert wf.coefficients is row
         with mpmath.workdps(40):
             assert list(row) == run_recurrence(spec.recurrence, spec.roots_reduced[i].mpf(30),

@@ -115,7 +115,8 @@ def _argvs():
     yield ["polys", "--mode", "field"]
     yield ["polys", "--mode", "field", "--j", "1", "--m", "5"]
     yield ["spectrum", "--mode", "field", "--j", "0", "--digits", "5"]
-    yield ["spectrum", "--mode", "field", "--j", "1", "--q", "0"]
+    for command in ("derive", "polys", "spectrum", "compare", "wavefunction"):
+        yield [command, "--mode", "field", "--j", "1", "--q", "0"]
     yield ["spectrum", "--mode", "field", "--j", "1", "--tol", "nan"]
     yield ["oracle", "--mode", "free", "--m", "2", "--count", "0"]
     yield ["oracle", "--mode", "free", "--m", "2", "--count", "2", "--oracle-n=-5"]
