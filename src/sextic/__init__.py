@@ -6,9 +6,8 @@ numerical radial eigensolver (oracle), reference data as published (tables),
 the invariant suite (verify) and a command-line front end (cli).
 """
 
-from .model import (PhysicalParams, SpectralValue,
-                    energy_from_epsilon2, eta_squared, potential_free,
-                    potential_magnetic, qes_field, radial_operator)
+from .model import (PhysicalParams, SpectralValue, energy_from_epsilon2,
+                    eta_squared, qes_field, radial_operator)
 from .opcalc import (DiffOperator, GaugeAnsatz, LaurentPoly, QPoly,
                      SpectralLedger, change_variable_sqrt, commutator,
                      compose, gauge_conjugate, monomial_matrix,

@@ -284,13 +284,14 @@ def _block(cfg: RunConfig, source: str = "derived") -> QesSpectrum:
         raise ConfigError(f"--gauge {cfg.gauge} selects a derived gauge; "
                           "--source published has none")
     j = cfg.level()
-    rec = _select_gauge(cfg, j) if source == "derived" else None
-    return spectrum(cfg.params, j, cfg.mode, source, cfg.digits, rec)
+    rec = (_select_gauge(cfg, j) if source == "derived"
+           else published_recurrence(cfg.params, j, cfg.mode))
+    return spectrum(cfg.params, j, cfg.mode, cfg.digits, rec)
 
 
 def cmd_spectrum(cfg: RunConfig) -> dict:
     spec = _block(cfg, cfg.source)
-    report = spectrum_json(spec, cfg.digits)
+    report = spectrum_json(spec)
     if cfg.oracle:
         report["match_report"] = _run_match(cfg, spec)
     return report
@@ -333,7 +334,7 @@ def cmd_oracle(cfg: RunConfig) -> dict:
         mode, m, params = "box", 0, None
     else:
         mode, params = cfg.mode, cfg.params
-        m = cfg.m if cfg.m is not None else cfg.level() + 2
+        m = cfg.level() + 2
     count, grid = _oracle_grid(cfg, m, mode, 6)
     spec = oracle_mod.refine(params, m, mode, count, grid, cfg.convention)
     return {
@@ -390,7 +391,7 @@ def cmd_compare(cfg: RunConfig) -> dict:
     report = {
         "command": "compare", "mode": cfg.mode, "j": j, "m": j + 2, "params": cfg.params.as_dict(),
         "polys": _polys(cfg, spec.family),
-        "spectrum": spectrum_json(spec, cfg.digits),
+        "spectrum": spectrum_json(spec),
         "match_report": _run_match(cfg, spec),
     }
     if cfg.mode == "free":

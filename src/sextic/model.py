@@ -26,8 +26,6 @@ __all__ = [
     "SpectralValue",
     "ConfigError",
     "DomainError",
-    "potential_free",
-    "potential_magnetic",
     "potential_coefficients",
     "radial_operator",
     "coupling_constant",
@@ -221,28 +219,6 @@ def potential_coefficients(params: PhysicalParams, m: int, mode: str,
     else:
         raise ConfigError(f"unknown mode {mode!r}")
     return cf
-
-
-def _eval_potential(cf: Mapping[int, Fraction], r) -> Fraction:
-    r = parse_rational(r)
-    if r <= 0:
-        raise DomainError("r must be positive")
-    return sum(v * r**e for e, v in cf.items())
-
-
-def potential_free(params: PhysicalParams, m: int, r) -> Fraction:
-    """V(r) for the field-free sextic oscillator, exactly."""
-    return _eval_potential(potential_coefficients(params, m, "free"), r)
-
-
-def potential_magnetic(params: PhysicalParams, m: int, r,
-                       convention: str = "consistent") -> Fraction:
-    """V(r) in the symmetric gauge at field B, exactly.
-
-    ``convention`` selects the sign of the constant hbar e B (m-1); see
-    MAGNETIC_CONVENTIONS.
-    """
-    return _eval_potential(potential_coefficients(params, m, "field", convention), r)
 
 
 def radial_operator(params: PhysicalParams, m: int, mode: str,

@@ -389,10 +389,6 @@ class DiffOperator:
         self.var = var
 
     @classmethod
-    def identity(cls, var: str = "r") -> "DiffOperator":
-        return cls({0: LaurentPoly.const(1)}, var)
-
-    @classmethod
     def derivative(cls, var: str = "r", order: int = 1) -> "DiffOperator":
         return cls({order: LaurentPoly.const(1)}, var)
 
@@ -614,9 +610,6 @@ class GaugeAnsatz:
         if self.regular_at_origin:
             return "divergent-at-infinity"
         return "divergent-at-origin-and-infinity"
-
-    def inverse(self) -> "GaugeAnsatz":
-        return GaugeAnsatz(-self.power, -self.gaussian, -self.quartic)
 
     def label(self) -> str:
         return f"r^({self.power}) exp(-({self.gaussian})r^2/2h - ({self.quartic})r^4/4h)"

@@ -49,7 +49,7 @@ from .qes import QesSpectrum, RadialWavefunction, _to_mpf
 __all__ = [
     "BOX", "DEFAULT_N", "Grid", "OracleSpectrum", "EigenvalueRecord", "MatchReport",
     "MatchEntry", "discretize", "sturm_count", "eigenvalues_bisection",
-    "refine", "shoot", "residual", "ode_residual", "match_report", "suggest_grid",
+    "refine", "shoot", "residual", "match_report", "suggest_grid",
 ]
 
 DEFAULT_N = 1024
@@ -653,22 +653,6 @@ def shoot(op: DiffOperator, target: float, bracket: tuple[float, float],
 # ---------------------------------------------------------------------------
 
 
-def ode_residual(f, d2f, potential, kinetic, x, window: tuple[float, float],
-                 samples: int = 33) -> float:
-    """max |kinetic*(-f'') + potential*f - x f| over the window, relative.
-
-    Normalized by max(1, |x|) * sup |f| so a root at exactly zero stays
-    well-posed (for |x| >= 1 this coincides with sup |x f|).  ``f``, ``d2f``
-    and ``potential`` are callables of r (mpmath-friendly); run inside an
-    mpmath.workdps context matching the data's precision.
-    """
-    def sample(r):
-        fv = f(r)
-        return fv, -kinetic * d2f(r) + potential(r) * fv
-
-    return _max_relative(sample, x, window, samples)
-
-
 def _max_relative(sample, x, window: tuple[float, float], samples: int) -> float:
     """max |h - x f| / (max(1, |x|) sup |f|) over ``samples`` even nodes of the
     window, with sample(r) = (f(r), h(r))."""
@@ -689,12 +673,13 @@ def _max_relative(sample, x, window: tuple[float, float], samples: int) -> float
 def residual(wf: RadialWavefunction, op: DiffOperator, x) -> float:
     """Relative residual of the closed-form wavefunction against op = -k D^2 + U(r).
 
-    Measured as :func:`ode_residual` measures it, at 33 even nodes of r in
-    [0.5, 2.5], worked at 60 digits.  The second derivative is formed
-    symbolically (the gauge factor's logarithmic derivative is a Laurent
-    polynomial; the series part is a polynomial), floats enter only in the
-    final evaluation.  For an algebraic block root this vanishes to root
-    precision whether or not the function is normalizable.
+    max |-k f'' + U f - x f| / (max(1, |x|) sup |f|) over 33 even nodes of r
+    in [0.5, 2.5], worked at 60 digits; the max(1, |x|) keeps a root at
+    exactly zero well-posed.  The second derivative is formed symbolically
+    (the gauge factor's logarithmic derivative is a Laurent polynomial; the
+    series part is a polynomial), floats enter only in the final evaluation.
+    For an algebraic block root this vanishes to root precision whether or
+    not the function is normalizable.
     """
     kin = _kinetic(op)
     g = wf.gauge

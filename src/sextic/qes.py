@@ -601,35 +601,26 @@ class QesSpectrum:
     variable = property(lambda self: self.family.variable)
 
 
-def spectrum(params: PhysicalParams, j: int, mode: str, source: str = "derived",
-             digits: int = 50,
+def spectrum(params: PhysicalParams, j: int, mode: str, digits: int = 50,
              recurrence: ThreeTermRecurrence | None = None) -> QesSpectrum:
     """Assemble the algebraic block: isolate roots, map through the ledger,
     attach energy pairs (or subcritical flags) and series coefficients.
 
-    ``recurrence`` is the derived recurrence to use when the caller already
-    holds one (a gauge-search candidate's, or one of another field-constant
-    convention); else the canonical gauge's is derived.  A ``recurrence``
-    that is not a derived one of level ``j`` and mode ``mode``, or one given
-    with ``source="published"``, raises :class:`QesError`.  A derived band
+    ``recurrence`` is the band the block is built from: a derived one (a
+    gauge-search candidate's, or one of another field-constant convention) or
+    the published one (:func:`published_recurrence`); without one, the
+    canonical gauge's derived band is used.  A ``recurrence`` of another level
+    or mode, or of neither source, raises :class:`QesError`.  A derived band
     that does not close raises :class:`OpenModuleError`.
     """
     params.require_qes()
     params = params.for_mode(mode)
-    if source == "derived":
-        rec = recurrence or derived_recurrence(params, j, None, mode)
-        if (rec.source, rec.j, rec.mode) != ("derived", j, mode):
-            raise QesError(f"a {rec.source} j = {rec.j} {rec.mode}-mode recurrence cannot "
-                           f"build the derived j = {j} {mode}-mode block")
-        if not rec.closes:
-            raise OpenModuleError(rec)
-    elif source == "published":
-        if recurrence is not None:
-            raise QesError("a published block is built from the published recurrence, "
-                           "not from one passed in")
-        rec = published_recurrence(params, j, mode)
-    else:
-        raise QesError(f"unknown source {source!r}")
+    rec = recurrence or derived_recurrence(params, j, None, mode)
+    if (rec.j, rec.mode) != (j, mode) or rec.source not in ("derived", "published"):
+        raise QesError(f"a {rec.source} j = {rec.j} {rec.mode}-mode recurrence cannot "
+                       f"build the {rec.source} j = {j} {mode}-mode block")
+    if rec.source == "derived" and not rec.closes:
+        raise OpenModuleError(rec)
     fam = polynomial_family(rec)
     roots = critical_roots(fam, digits)
     physical = tuple(r.shifted(rec.ledger) for r in roots)

@@ -36,7 +36,7 @@ def decimal_fixed(q: Fraction, places: int) -> str:
     scaled = q * 10**places
     n = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
     digits = str(n).rjust(places + 1, "0")
-    whole, frac = digits[:-places] or "0", digits[-places:]
+    whole, frac = digits[:len(digits) - places], digits[len(digits) - places:]
     out = f"{whole}.{frac}" if places else whole
     return "-" + out if neg and n else out
 
@@ -177,9 +177,11 @@ def match_entry_json(e) -> dict[str, Any]:
     }
 
 
-def spectrum_json(spec: QesSpectrum, digits: int) -> dict[str, Any]:
+def spectrum_json(spec: QesSpectrum) -> dict[str, Any]:
     """Stable JSON shape of an algebraic block: exact coefficients, decimal
-    roots with stated bounds, the ledger and the gauge provenance."""
+    roots with stated bounds, the ledger and the gauge provenance, all at the
+    ``spec.digits`` the block was certified to."""
+    digits = spec.digits
     roots = []
     for i, (red, phys, en) in enumerate(zip(spec.roots_reduced, spec.roots_physical,
                                             spec.energies)):

@@ -182,9 +182,9 @@ def test_derive_gauge_index_selects_its_row(monkeypatch):
     from sextic.render import gauge_json
     chosen, block = [], cli.spectrum
 
-    def recorded(params, j, mode, source, digits, rec):
+    def recorded(params, j, mode, digits, rec):
         chosen.append(gauge_json(rec.gauge))
-        return block(params, j, mode, source, digits, rec)
+        return block(params, j, mode, digits, rec)
 
     monkeypatch.setattr(cli, "spectrum", recorded)
     for mode in ("free", "field"):

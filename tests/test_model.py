@@ -7,8 +7,7 @@ import pytest
 from sextic.model import (ConfigError, DomainError, PhysicalParams,
                           coupling_constant, energy_from_epsilon2,
                           eta_squared, parse_rational, potential_coefficients,
-                          potential_free, potential_magnetic, qes_field,
-                          radial_operator)
+                          qes_field, radial_operator)
 from sextic.opcalc import LaurentPoly
 
 
@@ -16,6 +15,17 @@ def natural(**kw):
     base = dict(M=1, c=1, hbar=1, omega=1, q=1)
     base.update(kw)
     return PhysicalParams(**base)
+
+
+def potential_free(params, m, r):
+    """V(r) of the field-free oscillator, summed from its exact coefficients."""
+    return sum(v * Q(r) ** e for e, v in potential_coefficients(params, m, "free").items())
+
+
+def potential_magnetic(params, m, r, convention="consistent"):
+    """V(r) at the params' field B, summed from its exact coefficients."""
+    cf = potential_coefficients(params, m, "field", convention)
+    return sum(v * Q(r) ** e for e, v in cf.items())
 
 
 # ---------------------------------------------------------------------------
@@ -27,17 +37,8 @@ def test_potential_free_values():
     assert potential_free(natural(q=0), 2, 1) == Q(19, 4)       # 3.75 + 1
     assert potential_free(natural(), 2, 1) == Q(15, 4)          # 3.75 + 1 - 2 + 1
     assert potential_free(natural(), 3, 2) == Q(739, 16)        # 46.1875
-    # a string is parsed before the domain check: 15 + 1/4 - 1/8 + 1/64
-    assert potential_free(natural(), 2, "1/2") == Q(969, 64)
-
-
-def test_potential_free_domain():
-    with pytest.raises(DomainError):
-        potential_free(natural(), 2, 0)
-    with pytest.raises(DomainError):
-        potential_free(natural(), 2, -1)
-    with pytest.raises(DomainError):
-        potential_free(natural(), 2, "0")
+    # 15 + 1/4 - 1/8 + 1/64
+    assert potential_free(natural(), 2, Q(1, 2)) == Q(969, 64)
 
 
 def test_potential_magnetic_printed_values():

@@ -23,8 +23,7 @@ from sextic.model import DomainError, PhysicalParams, radial_operator
 from sextic.opcalc import DiffOperator, GaugeAnsatz, LaurentPoly
 from sextic.oracle import (BOX, DEFAULT_N, EigenvalueRecord, Grid, OracleSpectrum,
                            discretize, eigenvalues_bisection, match_report,
-                           ode_residual, refine, residual, shoot, sturm_count,
-                           suggest_grid)
+                           refine, residual, shoot, sturm_count, suggest_grid)
 from sextic.qes import RadialWavefunction, spectrum, wavefunction
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,8 +56,9 @@ def test_discretize_potential_alignment():
     diag, _ = discretize(radial_operator(p, 2, "free"), g)
     u = diag - 2 * float(p.c * p.hbar) ** 2 / g.h**2
     r1 = g.h
-    from sextic.model import potential_free, coupling_constant
-    want = float(potential_free(p, 2, Q(r1).limit_denominator(10**12)) +
+    from sextic.model import potential_coefficients, coupling_constant
+    r = Q(r1).limit_denominator(10**12)
+    want = float(sum(v * r**e for e, v in potential_coefficients(p, 2, "free").items()) +
                  coupling_constant(p, 2))
     assert u[0] == pytest.approx(want, rel=1e-9)
 
@@ -830,6 +830,16 @@ def test_residual_analytic_oscillator_state():
     wf = RadialWavefunction(GaugeAnsatz(Q(5, 2), 1, 0), Q(2), (mpmath.mpf(1),), Q(1))
     assert wf.normalizability == "normalizable"
     assert residual(wf, radial_operator(natural(q=0), 2, "free"), 4) < 1e-12
+
+
+def ode_residual(f, d2f, potential, kinetic, x, window, samples=33):
+    """max |kinetic*(-f'') + potential*f - x f| / (max(1, |x|) sup |f|) over the
+    window: the generic form of :func:`residual`, for callables of r."""
+    def sample(r):
+        fv = f(r)
+        return fv, -kinetic * d2f(r) + potential(r) * fv
+
+    return oracle._max_relative(sample, x, window, samples)
 
 
 def test_residual_negative_control():

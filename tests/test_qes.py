@@ -1,5 +1,6 @@
 """Algebraic-block tests: generators, recurrences, families, roots, spectra."""
 
+import dataclasses
 from fractions import Fraction as Q
 
 import mpmath
@@ -647,7 +648,8 @@ def test_spectrum_sorted_and_sized():
 
 
 def test_spectrum_published_source():
-    spec = spectrum(natural(), 1, "free", source="published")
+    spec = spectrum(natural(), 1, "free",
+                    recurrence=published_recurrence(natural(), 1, "free"))
     mids = [e.midpoint for e in spec.roots_physical]
     assert mids == sorted(mids)
     assert spec.gauge is None
@@ -667,11 +669,14 @@ def test_spectrum_refuses_a_recurrence_of_another_block():
     # another mode: a free block carrying the field-mode B = 2
     with pytest.raises(QesError, match="cannot build the derived j = 2 field-mode block"):
         spectrum(p, 2, "field", recurrence=free_j2)
-    # the published source reads no recurrence
-    with pytest.raises(QesError, match="published block is built from the published recurrence"):
-        spectrum(p, 2, "free", source="published", recurrence=free_j2)
+    # the published band of the level builds the published block
+    published_j2 = published_recurrence(p, 2, "free")
+    assert spectrum(p, 2, "free", recurrence=published_j2).source == "published"
     with pytest.raises(QesError, match="a published j = 2 free-mode recurrence cannot build"):
-        spectrum(p, 2, "free", recurrence=published_recurrence(p, 2, "free"))
+        spectrum(p, 3, "free", recurrence=published_j2)
+    # a band of neither source, such as crosspath's module band
+    with pytest.raises(QesError, match="a module j = 2 free-mode recurrence cannot build"):
+        spectrum(p, 2, "free", recurrence=dataclasses.replace(free_j2, source="module"))
 
 
 def test_spectrum_coefficient_vectors():
@@ -719,7 +724,8 @@ def test_wavefunction_reads_the_block_coefficients():
 
 
 def test_wavefunction_of_a_published_block_raises():
-    spec = spectrum(natural(), 1, "free", source="published")
+    spec = spectrum(natural(), 1, "free",
+                    recurrence=published_recurrence(natural(), 1, "free"))
     with pytest.raises(QesError, match="no gauge"):
         wavefunction(spec, 0)
 

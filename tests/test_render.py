@@ -22,6 +22,11 @@ def test_decimal_fixed():
     assert decimal_fixed(Q(-1, 8), 4) == "-0.1250"
     assert decimal_fixed(Q(5), 2) == "5.00"
     assert decimal_fixed(Q(0), 3) == "0.000"
+    # no fractional places: the rounded integer
+    assert decimal_fixed(Q(5), 0) == "5"
+    assert decimal_fixed(Q(-5, 2), 0) == "-3"
+    assert decimal_fixed(Q(1, 3), 0) == "0"
+    assert decimal_fixed(Q(-1, 3), 0) == "0"
 
 
 def test_enclosure_json_tags():
@@ -45,7 +50,7 @@ def test_poly_text_plain():
 
 def test_spectrum_json_carries_provenance():
     spec = spectrum(PhysicalParams(M=1, omega=1, q=1), 1, "field", digits=20)
-    blob = spectrum_json(spec, 20)
+    blob = spectrum_json(spec)
     assert blob["ledger"]["shift"] == "-8"
     assert blob["gauge"]["normalizability"] == "divergent-at-origin-and-infinity"
     assert len(blob["roots"]) == 2
@@ -57,7 +62,7 @@ def test_minus_energy_is_the_negated_plus_at_full_precision():
     inexact = 0
     for mode, j in (("field", 3), ("free", 2), ("free", 5)):
         spec = spectrum(PhysicalParams(M=5, omega=1, q=1), j, mode, digits=60)
-        for root in spectrum_json(spec, 60)["roots"]:
+        for root in spectrum_json(spec)["roots"]:
             energy = root["energy"]
             if energy.get("error_bound") == "1.5e-60":
                 assert energy["minus"] == "-" + energy["plus"], (mode, j, root["index"])

@@ -26,3 +26,19 @@ def test_fault_injection_is_detected(fault, check):
     results = run_checks(fast=True, fault=fault)
     failed = {r.name for r in results if not r.passed}
     assert failed == {check}
+
+
+def test_root_properties_reports_a_p_j_root_inside_a_cell(monkeypatch):
+    # cells widened by 1 on each side swallow a root of P_j, which interlaces them
+    from sextic import verify
+    from sextic.qes import RootEnclosure
+
+    isolate = verify.critical_roots
+
+    def widened(fam, *args):
+        return [RootEnclosure(e.lo - 1, e.hi + 1) for e in isolate(fam, *args)]
+
+    monkeypatch.setattr(verify, "critical_roots", widened)
+    result = verify.check_root_properties()
+    assert not result.passed
+    assert result.detail == "free j=4: P_j root inside an enclosure"

@@ -39,6 +39,10 @@ def _spectra():
     # a block whose band has a c_k < 0: its Jacobi matrix comes from the Sturm chain
     yield ["spectrum", "--mode", "free", "--j", "1", "--M", "3", "--omega", "5", "--q", "-2"]
     yield ["spectrum", "--mode", "field", "--j", "1", "--source", "published"]
+    yield ["spectrum", "--mode", "free", "--j", "1", "--source", "published", "--M", "3",
+           "--omega", "5", "--q", "-2"]
+    yield ["spectrum", "--mode", "free", "--j", "3", "--source", "published", "--digits", "20",
+           "--format", "pretty"]
     yield ["spectrum", "--mode", "field", "--j", "1", "--oracle", "--oracle-n", "1024"]
     yield ["spectrum", "--mode", "free", "--j", "2", "--oracle"]
     yield ["spectrum", "--mode", "field", "--j", "3", "--format", "pretty"]
@@ -85,6 +89,9 @@ def _argvs():
     yield ["oracle", "--mode", "field", "--m", "3", "--count", "4"]
     yield ["oracle", "--mode", "field", "--m", "3", "--count", "4", "--convention", "printed"]
     yield ["oracle", "--mode", "free", "--m", "0", "--count", "3"]
+    # the level names m = j + 2; --m alongside --j must agree with it
+    yield ["oracle", "--mode", "free", "--j", "1", "--count", "3"]
+    yield ["oracle", "--mode", "free", "--j", "1", "--m", "3", "--count", "3"]
     yield ["oracle", "--mode", "field", "--m", "2", "--count", "2", "--rmax", "1e6"]
     # overlapping finest-level brackets fall back to the plain solve; eight brackets
     yield ["oracle", "--mode", "free", "--m", "2", "--count", "5", "--M", "3", "--omega", "2",
@@ -108,6 +115,7 @@ def _argvs():
     yield ["compare", "--mode", "free", "--j", "3", "--gauge", "0"]
     yield ["compare", "--mode", "free", "--j", "3", "--gauge", "5"]
     yield ["compare", "--mode", "field", "--j", "1", "--convention", "printed"]
+    yield ["compare", "--mode", "field", "--j", "2", "--digits", "20"]
     yield ["compare", "--mode", "field", "--j", "1", "--q", "-1"]
     yield ["compare", "--mode", "field", "--j", "1", "--oracle-n", "1024", "--format", "pretty"]
     yield from _decoupled()
@@ -119,6 +127,7 @@ def _argvs():
         yield [command, "--mode", "field", "--j", "1", "--q", "0"]
     yield ["spectrum", "--mode", "field", "--j", "1", "--tol", "nan"]
     yield ["oracle", "--mode", "free", "--m", "2", "--count", "0"]
+    yield ["oracle", "--mode", "free", "--count", "3"]
     yield ["oracle", "--mode", "free", "--m", "2", "--count", "2", "--oracle-n=-5"]
     yield ["oracle", "--box", "--oracle-n", "0"]
     yield ["wavefunction", "--mode", "field", "--j", "2", "--samples=-3"]
