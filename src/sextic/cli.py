@@ -17,6 +17,7 @@ import itertools
 import math
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from types import SimpleNamespace
@@ -26,7 +27,7 @@ import mpmath
 
 from . import oracle as oracle_mod
 from . import tables, verify
-from .model import ConfigError, DomainError, PhysicalParams, eta_squared
+from .model import MAGNETIC_CONVENTIONS, ConfigError, DomainError, PhysicalParams, eta_squared
 from .opcalc import GaugeError, NotQesError
 from .qes import (OpenModuleError, QesSpectrum, RootPropertyError, canonical_gauge,
                   crosspath_comparison, derived_recurrence, gauge_search,
@@ -63,7 +64,7 @@ OPTIONS = {
     "digits": Option(int, 50, lambda v: v >= 15, "at least 15"),
     "gauge": Option(str, "auto", lambda v: v == "auto" or v.isdigit(),
                     "'auto' or a candidate index", help="auto (default) or viable-candidate index"),
-    "convention": Option(str, "consistent", choices=("consistent", "printed")),
+    "convention": Option(str, MAGNETIC_CONVENTIONS[0], choices=MAGNETIC_CONVENTIONS),
     "source": Option(str, "derived", choices=("derived", "published")),
     "oracle_n": Option(int, oracle_mod.DEFAULT_N, lambda v: v >= 1, "at least 1",
                        help=f"base intervals n of the numerical solver's n, 2n, 4n ladder "
@@ -104,35 +105,33 @@ class Command(NamedTuple):
         return OPTIONS[key]
 
 
-_MODEL = ("mode", "j", "m", *PARAM_KEYS)
+_MODEL = ("mode", "j", "m", *PARAM_KEYS, "convention")  # cfg.params holds the last eight
 _ORACLE = ("oracle_n", "rmax", "count")
 
 COMMANDS = {
     "derive": Command("gauge candidates, reduced operators, recurrences and ledgers",
-                      _MODEL + ("convention",), "cmd_derive",
+                      _MODEL, "cmd_derive",
                       {"json": "dumps", "pretty": "_pretty_derive"}),
     "polys": Command("energy polynomial tables and the comparison against the published ones",
-                     _MODEL + ("gauge", "convention"), "cmd_polys",
+                     _MODEL + ("gauge",), "cmd_polys",
                      {"json": "dumps", "pretty": "_pretty_polys"}),
     "spectrum": Command("algebraic-block roots, energies and coefficients",
-                        _MODEL + ("digits", "gauge", "convention", "source", *_ORACLE, "tol"),
-                        "cmd_spectrum",
+                        _MODEL + ("digits", "gauge", "source", *_ORACLE, "tol"), "cmd_spectrum",
                         {"json": "dumps", "pretty": "_pretty_spectrum"},
                         (("oracle", "append a match report against the numerical solver"),)),
     "oracle": Command("numerical eigenvalues with convergence certificates",
-                      _MODEL + ("convention", *_ORACLE), "cmd_oracle",
+                      _MODEL + _ORACLE, "cmd_oracle",
                       {"json": "dumps", "csv": "_csv_oracle", "pretty": "_pretty_oracle"},
                       (("box", "debug potential: particle in a box"),)),
     "wavefunction": Command("sample one closed-form block eigenfunction",
-                            _MODEL + ("digits", "gauge", "convention", "root_index",
+                            _MODEL + ("digits", "gauge", "root_index",
                                       "r_from", "r_to", "samples"),
                             "cmd_wavefunction", {"csv": "_csv_wavefunction"}),
     "verify": Command("run the invariant suite", ("inject_fault",), "cmd_verify",
                       {"pretty": "_pretty_verify"},
                       (("fast", "skip the numerical-solver checks"),), config=False),
     "compare": Command("polys + spectrum + oracle + match in one report",
-                       _MODEL + ("digits", "gauge", "convention", *_ORACLE, "tol"),
-                       "cmd_compare",
+                       _MODEL + ("digits", "gauge", *_ORACLE, "tol"), "cmd_compare",
                        {"json": "dumps", "pretty": "_pretty_compare"}),
 }
 
@@ -190,7 +189,7 @@ def _build_config(args: argparse.Namespace, cmd: Command) -> RunConfig:
     if cfg.j is not None and cfg.m is not None and cfg.m != cfg.j + 2:
         raise ConfigError(f"m = j + 2 required (got m={cfg.m}, j={cfg.j})")
     params = PhysicalParams.from_mapping({key: values[key] for key in PARAM_KEYS})
-    cfg.params = params.for_mode(cfg.mode)
+    cfg.params = replace(params, convention=cfg.convention).for_mode(cfg.mode)
     return cfg
 
 
@@ -199,9 +198,9 @@ def _select_gauge(cfg: RunConfig, j: int):
     gauge's, or the chosen gauge-search candidate's, which the search derived.
     A band whose module does not close raises OpenModuleError."""
     if cfg.gauge == "auto":
-        rec = derived_recurrence(cfg.params, j, None, cfg.mode, cfg.convention)
+        rec = derived_recurrence(cfg.params, j, None, cfg.mode)
     else:
-        candidates = gauge_search(cfg.params, j, cfg.mode, convention=cfg.convention)
+        candidates = gauge_search(cfg.params, j, cfg.mode)
         if int(cfg.gauge) >= len(candidates):
             raise ConfigError(f"gauge index {cfg.gauge} out of range 0..{len(candidates) - 1}")
         rec = candidates[int(cfg.gauge)].recurrence
@@ -217,8 +216,7 @@ def _select_gauge(cfg: RunConfig, j: int):
 
 def cmd_derive(cfg: RunConfig) -> dict:
     j = cfg.level()
-    candidates = gauge_search(cfg.params, j, cfg.mode, include_failures=True,
-                              convention=cfg.convention)
+    candidates = gauge_search(cfg.params, j, cfg.mode, include_failures=True)
     ranks = itertools.count()  # --gauge indexes the viable candidates only
     report = {
         "command": "derive", "mode": cfg.mode, "j": j, "m": j + 2, "params": cfg.params.as_dict(),
@@ -306,17 +304,15 @@ def _oracle_grid(cfg: RunConfig, m: int, mode: str, default_count: int):
         return count, oracle_mod.Grid(r_max, max(64, cfg.oracle_n))
     if cfg.rmax is not None:
         return count, oracle_mod.Grid(cfg.rmax, cfg.oracle_n)
-    return count, oracle_mod.suggest_grid(cfg.params, m, mode, count, n=cfg.oracle_n,
-                                          convention=cfg.convention)
+    return count, oracle_mod.suggest_grid(cfg.params, m, mode, count, n=cfg.oracle_n)
 
 
 def _run_match(cfg: RunConfig, spec: QesSpectrum) -> dict:
     count, grid = _oracle_grid(cfg, spec.m, cfg.mode, spec.j + 5)
-    osp = oracle_mod.refine(cfg.params, spec.m, cfg.mode, count, grid, cfg.convention)
+    osp = oracle_mod.refine(cfg.params, spec.m, cfg.mode, count, grid)
     rep = oracle_mod.match_report(spec, osp, cfg.tol)
     direct = ledger_shift_direct(cfg.params, spec.m, cfg.mode,
-                                 spec.gauge or canonical_gauge(cfg.params, spec.m, cfg.mode),
-                                 cfg.convention)
+                                 spec.gauge or canonical_gauge(cfg.params, spec.m, cfg.mode))
     return {
         "tolerance": cfg.tol,
         "ledger_shift_pipeline": str(spec.ledger.shift),
@@ -336,7 +332,7 @@ def cmd_oracle(cfg: RunConfig) -> dict:
         mode, params = cfg.mode, cfg.params
         m = cfg.level() + 2
     count, grid = _oracle_grid(cfg, m, mode, 6)
-    spec = oracle_mod.refine(params, m, mode, count, grid, cfg.convention)
+    spec = oracle_mod.refine(params, m, mode, count, grid)
     return {
         "command": "oracle", "mode": mode, "m": m,
         "params": None if params is None else params.as_dict(),
@@ -368,12 +364,12 @@ def cmd_wavefunction(cfg: RunConfig) -> dict:
     if abs((g.gaussian * rf**2 / 2 + g.quartic * rf**4 / 4) / wf.hbar) > WINDOW_EXPONENT_BOUND:
         raise DomainError(f"the gauge exponent |b r^2/2h + a r^4/4h| at r = {far!r} "
                           f"exceeds {WINDOW_EXPONENT_BOUND:.0e}: shorten the window")
-    with mpmath.workdps(cfg.digits + 10):
+    with mpmath.workdps(spec.digits + 10):
         samples = [[repr(r), mpmath.nstr(wf(mpmath.mpf(r)), 17)] for r in rs]
     return {"command": "wavefunction", "gauge": gauge_json(spec.gauge),
-            "normalizability": wf.normalizability, "digits": cfg.digits,
+            "normalizability": wf.normalizability, "digits": spec.digits,
             "reduced_eigenvalue":
-                enclosure_json(spec.roots_reduced[cfg.root_index], cfg.digits)["value"],
+                enclosure_json(spec.roots_reduced[cfg.root_index], spec.digits)["value"],
             "samples": samples}
 
 

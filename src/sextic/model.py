@@ -7,13 +7,14 @@ upper spinor component satisfies a one-dimensional eigenproblem
     eps^2 f(r) = -c^2 hbar^2 f''(r) + c^2 [V(r) + coupling] f(r)
 
 with ``eps^2 = E^2 - M^2 c^4``.  All quantities are exact rationals; unit
-conventions are free (the test profile uses hbar = c = 1).
+conventions are free (the test profile uses hbar = c = 1).  The field-constant
+sign is a field of :class:`PhysicalParams`, read only by :func:`potential_coefficients`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -35,9 +36,9 @@ __all__ = [
     "parse_rational",
 ]
 
-#: Field-constant conventions for the magnetic potential.  The published
-#: potential carries +hbar e B (m-1); at the special field B = 2 M omega / e
-#: that sign disagrees with the published reduced operator, whose constant is
+#: The values of ``PhysicalParams.convention``.  The published magnetic potential
+#: carries +hbar e B (m-1); at the special field B = 2 M omega / e that sign
+#: disagrees with the published reduced operator, whose constant is
 #: 4 hbar M omega (1-m).  "consistent" (default) flips the sign so the two
 #: agree; "printed" keeps the sign as published, for the comparison report.
 MAGNETIC_CONVENTIONS = ("consistent", "printed")
@@ -78,6 +79,7 @@ class PhysicalParams:
              block degenerates at q = 0
     e_charge: particle charge (eB is treated as one signed product)
     B:       magnetic field, or None for the field-free configuration
+    convention: sign of the field constant, one of MAGNETIC_CONVENTIONS
     """
 
     M: Fraction
@@ -87,6 +89,7 @@ class PhysicalParams:
     q: Fraction = Q(1)
     e_charge: Fraction = Q(1)
     B: Optional[Fraction] = None
+    convention: str = "consistent"
 
     def __post_init__(self):
         for name in ("M", "c", "hbar", "omega", "q", "e_charge"):
@@ -97,6 +100,8 @@ class PhysicalParams:
             raise DomainError("M, c, hbar must be positive")
         if self.omega < 0:
             raise DomainError("omega must be non-negative")
+        if self.convention not in MAGNETIC_CONVENTIONS:
+            raise ConfigError(f"unknown field-constant convention {self.convention!r}")
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, object]) -> "PhysicalParams":
@@ -115,8 +120,7 @@ class PhysicalParams:
             raise DomainError("q = 0: the sextic term is absent and the algebraic block degenerates")
 
     def with_qes_field(self) -> "PhysicalParams":
-        return PhysicalParams(self.M, self.c, self.hbar, self.omega, self.q,
-                              self.e_charge, qes_field(self))
+        return replace(self, B=qes_field(self))
 
     def for_mode(self, mode: str) -> "PhysicalParams":
         """The parameters ``mode`` runs at: field mode pins an unset B to the
@@ -190,12 +194,11 @@ def coupling_constant(params: PhysicalParams, m: int) -> Fraction:
     return 2 * params.hbar * params.M * params.omega * (1 - m)
 
 
-def potential_coefficients(params: PhysicalParams, m: int, mode: str,
-                           convention: str = "consistent") -> dict[int, Fraction]:
+def potential_coefficients(params: PhysicalParams, m: int, mode: str) -> dict[int, Fraction]:
     """Exact coefficients {power of r: coefficient} of the radial potential V(r).
 
-    mode "free" is the bare sextic potential; mode "field" evaluates the
-    symmetric-gauge magnetic potential at the params' B (which must be set).
+    mode "free" is the bare sextic potential; mode "field" evaluates the symmetric-gauge
+    magnetic potential at the params' B (which must be set) and field-constant sign.
     """
     h, M, w, q = params.hbar, params.M, params.omega, params.q
     cf = {
@@ -209,10 +212,8 @@ def potential_coefficients(params: PhysicalParams, m: int, mode: str,
     elif mode == "field":
         if params.B is None:
             raise ConfigError("magnetic mode requires B (or use with_qes_field())")
-        if convention not in MAGNETIC_CONVENTIONS:
-            raise ConfigError(f"unknown field-constant convention {convention!r}")
         eB = params.e_charge * params.B
-        sign = 1 if convention == "printed" else -1
+        sign = 1 if params.convention == "printed" else -1
         cf[0] = sign * h * eB * (m - 1)
         cf[4] = -(2 * M * w - eB) * q
         cf[2] = (M * w - eB / 2) ** 2 - 2 * h * q * (2 - m)
@@ -221,15 +222,14 @@ def potential_coefficients(params: PhysicalParams, m: int, mode: str,
     return cf
 
 
-def radial_operator(params: PhysicalParams, m: int, mode: str,
-                    convention: str = "consistent") -> DiffOperator:
+def radial_operator(params: PhysicalParams, m: int, mode: str) -> DiffOperator:
     """The full one-dimensional operator whose eigenvalues are eps^2.
 
     -c^2 hbar^2 D^2 + c^2 [V(r) + coupling], with every coefficient an exact
     rational Laurent polynomial in r (powers -2, 0, 2, 4, 6).  In field mode
     B is pinned to the special value 2 M omega / e (set automatically when
-    absent); with the default convention the constant term is the published
-    reduced-operator constant 4 hbar M omega (1 - m).
+    absent); with the "consistent" convention the constant term is the
+    published reduced-operator constant 4 hbar M omega (1 - m).
 
     q = 0 is allowed here (the numerical solver uses it); algebraic-block
     entry points reject it separately.
@@ -239,7 +239,7 @@ def radial_operator(params: PhysicalParams, m: int, mode: str,
     if mode == "field" and params.B != qes_field(params):
         raise ConfigError(f"field mode requires B = 2 M omega / e = {qes_field(params)}, "
                           f"got {params.B}")
-    cf = potential_coefficients(params, m, mode, convention)
+    cf = potential_coefficients(params, m, mode)
     mult = {e: c2 * v for e, v in cf.items()}
     mult[0] = mult.get(0, Q(0)) + c2 * coupling_constant(params, m)
     return DiffOperator({2: LaurentPoly.const(-c2 * params.hbar**2),

@@ -437,7 +437,7 @@ class OracleSpectrum:
 
 
 def refine(params: Optional[PhysicalParams], m: int, mode: str, count: int,
-           grid: Grid, convention: str = "consistent") -> OracleSpectrum:
+           grid: Grid) -> OracleSpectrum:
     """Solve at h, h/2, h/4 and Richardson-extrapolate the h^2 and h^4 terms away.
 
     With d12 = v_h - v_h2 and d23 = v_h2 - v_h4, R0 = v_h2 - d12/3 and
@@ -490,7 +490,7 @@ def refine(params: Optional[PhysicalParams], m: int, mode: str, count: int,
     if m == 0 and mode != "box":
         raise DomainError("the oracle needs m >= 1 outside the box: at m = 0 the ladder "
                           "converges at order about 0.2 and no error bar covers it")
-    op = BOX if mode == "box" else radial_operator(params, m, mode, convention)
+    op = BOX if mode == "box" else radial_operator(params, m, mode)
     # near the origin the solution goes as r^(m+1/2), which adds an h^(2m+1)
     # term to the error: the h^4 step needs it past h^4, so |m| >= 2 (the box
     # solution is smooth)
@@ -783,7 +783,7 @@ def match_report(qes: QesSpectrum, oracle: OracleSpectrum, tol: float = 1e-4) ->
 
 
 def suggest_grid(params: Optional[PhysicalParams], m: int, mode: str, count: int,
-                 n: int = DEFAULT_N, convention: str = "consistent") -> Grid:
+                 n: int = DEFAULT_N) -> Grid:
     """Domain size from the turning point of the largest sought eigenvalue.
 
     A coarse solve on max(512, 2 * count) intervals estimates the top
@@ -800,7 +800,7 @@ def suggest_grid(params: Optional[PhysicalParams], m: int, mode: str, count: int
     if mode == "box":
         return Grid(math.pi, n)
     try:
-        return Grid(_domain(radial_operator(params, m, mode, convention), count, n), n)
+        return Grid(_domain(radial_operator(params, m, mode), count, n), n)
     except (OverflowError, FloatingPointError) as exc:
         raise DomainError(f"no confining domain: the float potential fails to rise above "
                           f"the sought eigenvalues ({exc})") from exc

@@ -33,7 +33,7 @@ them up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -155,9 +155,9 @@ class ThreeTermRecurrence:
     ``alpha``, ``beta``, ``gamma`` are polynomials in the row index k.
     ``variable`` records what the eigenvalue symbol x means: "physical" is
     eps^2 itself, "reduced" is the swept operator's eigenvalue, mapped to
-    eps^2 by ``ledger``.  ``operator`` is the reduced rho-operator the band
-    was read from and ``gauge`` the gauge that conjugated it (derived
-    recurrences only).
+    eps^2 by ``ledger``.  ``params`` are the mode's parameters the band was
+    built from; ``operator`` the reduced rho-operator it was read from and
+    ``gauge`` the gauge that conjugated it (derived recurrences only).
     """
 
     j: int
@@ -168,6 +168,7 @@ class ThreeTermRecurrence:
     mode: str
     variable: str
     ledger: SpectralLedger
+    params: PhysicalParams
     operator: Optional[DiffOperator] = field(default=None, compare=False)
     gauge: Optional[GaugeAnsatz] = None
 
@@ -210,6 +211,7 @@ def published_recurrence(params: PhysicalParams, j: int, mode: str) -> ThreeTerm
         raise DomainError("j must be a non-negative integer")
     j = int(j)
     m = j + 2
+    params = params.for_mode(mode)
     u = eta_squared(params)
     w = 4 * params.M * params.c**2 * params.hbar * params.omega
     k = QPoly.x()
@@ -217,14 +219,14 @@ def published_recurrence(params: PhysicalParams, j: int, mode: str) -> ThreeTerm
         alpha = u * (Q(j) - k)
         beta = -w * (Q(j + 1) - k)
         gamma = k * (Q(j + 2) - k)
-        return ThreeTermRecurrence(j, alpha, beta, gamma, source="published", mode="free",
-                                   variable="physical", ledger=SpectralLedger())
+        return ThreeTermRecurrence(j, alpha, beta, gamma, "published", "free", "physical",
+                                   SpectralLedger(), params)
     if mode == "field":
         alpha = QPoly.const(u)
         beta = QPoly()
         gamma = k * (Q(j + 2) - k)
-        return ThreeTermRecurrence(j, alpha, beta, gamma, source="published", mode="field",
-                                   variable="reduced", ledger=_field_ledger(params, m))
+        return ThreeTermRecurrence(j, alpha, beta, gamma, "published", "field", "reduced",
+                                   _field_ledger(params, m), params)
     raise DomainError(f"unknown mode {mode!r}")
 
 
@@ -242,7 +244,7 @@ def canonical_gauge(params: PhysicalParams, m: int, mode: str) -> GaugeAnsatz:
 
 
 def derived_recurrence(params: PhysicalParams, j: int, gauge: GaugeAnsatz | None,
-                       mode: str, convention: str = "consistent") -> ThreeTermRecurrence:
+                       mode: str) -> ThreeTermRecurrence:
     """Mechanical pipeline: radial operator -> gauge -> rho variable -> recurrence.
 
     The only place the pipeline runs.  Returns the recurrence in the reduced
@@ -255,13 +257,14 @@ def derived_recurrence(params: PhysicalParams, j: int, gauge: GaugeAnsatz | None
         raise DomainError("j must be a non-negative integer")
     j = int(j)
     m = j + 2
+    params = params.for_mode(mode)
     if gauge is None:
         gauge = canonical_gauge(params, m, mode)
-    radial = radial_operator(params, m, mode, convention)
+    radial = radial_operator(params, m, mode)
     conjugated, ledger = gauge_conjugate(radial, gauge, params.hbar)
     reduced = change_variable_sqrt(conjugated, 2 * params.c * params.hbar)
     return ThreeTermRecurrence(j, *series_recurrence(reduced), "derived", mode, "reduced",
-                               ledger, reduced, gauge)
+                               ledger, params, reduced, gauge)
 
 
 # ---------------------------------------------------------------------------
@@ -576,13 +579,12 @@ class QesSpectrum:
     """The algebraic block at level j: roots, energies, expansion coefficients.
 
     ``recurrence`` and ``family`` are the records the block was built from;
-    the critical polynomial, its variable, the ledger and the gauge (None for
+    the parameters, critical polynomial, variable, ledger and gauge (None for
     a published block) are read from them.  ``coefficients[i]`` is the series
     c_0..c_j at root i as mpf values computed at ``digits + 10`` digits; do
     arithmetic on them inside ``mpmath.workdps(digits + 10)``.
     """
 
-    params: PhysicalParams
     recurrence: ThreeTermRecurrence
     family: PolynomialFamily
     roots_reduced: tuple[RootEnclosure, ...]
@@ -591,6 +593,7 @@ class QesSpectrum:
     coefficients: tuple[tuple, ...]
     digits: int
 
+    params = property(lambda self: self.recurrence.params)
     j = property(lambda self: self.recurrence.j)
     m = property(lambda self: self.recurrence.j + 2)
     mode = property(lambda self: self.recurrence.mode)
@@ -607,11 +610,11 @@ def spectrum(params: PhysicalParams, j: int, mode: str, digits: int = 50,
     attach energy pairs (or subcritical flags) and series coefficients.
 
     ``recurrence`` is the band the block is built from: a derived one (a
-    gauge-search candidate's, or one of another field-constant convention) or
-    the published one (:func:`published_recurrence`); without one, the
-    canonical gauge's derived band is used.  A ``recurrence`` of another level
-    or mode, or of neither source, raises :class:`QesError`.  A derived band
-    that does not close raises :class:`OpenModuleError`.
+    gauge-search candidate's) or the published one
+    (:func:`published_recurrence`); without one, the canonical gauge's derived
+    band is used.  A ``recurrence`` of another level or mode, of neither
+    source, or built from other parameters raises :class:`QesError`.  A
+    derived band that does not close raises :class:`OpenModuleError`.
     """
     params.require_qes()
     params = params.for_mode(mode)
@@ -619,6 +622,10 @@ def spectrum(params: PhysicalParams, j: int, mode: str, digits: int = 50,
     if (rec.j, rec.mode) != (j, mode) or rec.source not in ("derived", "published"):
         raise QesError(f"a {rec.source} j = {rec.j} {rec.mode}-mode recurrence cannot "
                        f"build the {rec.source} j = {j} {mode}-mode block")
+    differ = [f"{f.name} = {getattr(rec.params, f.name)} (block: {getattr(params, f.name)})"
+              for f in fields(params) if getattr(rec.params, f.name) != getattr(params, f.name)]
+    if differ:
+        raise QesError(f"a recurrence built at {', '.join(differ)} cannot build this block")
     if rec.source == "derived" and not rec.closes:
         raise OpenModuleError(rec)
     fam = polynomial_family(rec)
@@ -633,8 +640,7 @@ def spectrum(params: PhysicalParams, j: int, mode: str, digits: int = 50,
         band = [tuple(_to_mpf(v) for v in rec.coefficients_at(k)) for k in range(j)]
         for r in roots:
             coeff_rows.append(tuple(run_recurrence(rec, r.mpf(digits), j, band)))
-    return QesSpectrum(params, rec, fam, tuple(roots), physical, energies,
-                       tuple(coeff_rows), digits)
+    return QesSpectrum(rec, fam, tuple(roots), physical, energies, tuple(coeff_rows), digits)
 
 
 @dataclass(frozen=True)
@@ -706,8 +712,7 @@ class GaugeCandidate:
 
 
 def gauge_search(params: PhysicalParams, j: int, mode: str,
-                 include_failures: bool = False,
-                 convention: str = "consistent") -> list[GaugeCandidate]:
+                 include_failures: bool = False) -> list[GaugeCandidate]:
     """Enumerate the finite gauge candidate set and keep the banded ones.
 
     Candidates: s in {m+1/2, 1/2-m} (both indicial branches), gaussian in
@@ -717,9 +722,8 @@ def gauge_search(params: PhysicalParams, j: int, mode: str,
     records whether the pipeline's ledger shift matches the published
     constant (free: yes; field: the published form conflates the two
     eigenvalue symbols).  The normalizability class, the ledger and closure
-    are read off the candidate's gauge and recurrence.  ``convention`` is the
-    field-constant sign of the radial operator (model.MAGNETIC_CONVENTIONS);
-    only the ledger depends on it.
+    are read off the candidate's gauge and recurrence.  The sign of the field
+    constant, which ``params`` carries, moves only the ledger.
     """
     params.require_qes()
     m = j + 2
@@ -734,7 +738,7 @@ def gauge_search(params: PhysicalParams, j: int, mode: str,
             for a in (params.q, -params.q):
                 g = GaugeAnsatz(s, b, a)
                 try:
-                    rec = derived_recurrence(params, j, g, mode, convention)
+                    rec = derived_recurrence(params, j, g, mode)
                 except (GaugeError, NotQesError) as exc:
                     if include_failures:
                         results.append(GaugeCandidate(g, None, {}, error=str(exc)))
@@ -757,7 +761,7 @@ def gauge_search(params: PhysicalParams, j: int, mode: str,
 
 
 def ledger_shift_direct(params: PhysicalParams, m: int, mode: str,
-                        gauge: GaugeAnsatz, convention: str = "consistent") -> Fraction:
+                        gauge: GaugeAnsatz) -> Fraction:
     """Ledger shift re-derived from closed forms, bypassing the operator pipeline.
 
     The shift is the radial operator's constant (potential constant plus
@@ -767,7 +771,7 @@ def ledger_shift_direct(params: PhysicalParams, m: int, mode: str,
     """
     from .model import potential_coefficients
     c2 = params.c**2
-    v_const = potential_coefficients(params.for_mode(mode), m, mode, convention).get(0, Q(0))
+    v_const = potential_coefficients(params.for_mode(mode), m, mode).get(0, Q(0))
     radial_const = c2 * (v_const + coupling_constant(params, m))
     gauge_const = c2 * params.hbar * gauge.gaussian * (1 + 2 * gauge.power)
     return radial_const + gauge_const
@@ -783,8 +787,8 @@ def crosspath_comparison(params: PhysicalParams, j: int,
     offset the operator actually realizes is m-dependent, 2 m M c^2 hbar
     omega.  Both identifications are evaluated here and the implied one is
     checked exactly against the derived critical polynomial.  ``recurrence``
-    is reused when it is that block's band (canonical gauge, free mode);
-    otherwise the band is derived here.
+    is reused when it is that block's band (level j, free mode, these
+    parameters, canonical gauge); otherwise the band is derived here.
 
     On the module the Hamiltonian is tridiagonal (the sl2 generators move
     the degree by at most one), so its characteristic polynomial
@@ -794,18 +798,18 @@ def crosspath_comparison(params: PhysicalParams, j: int,
     """
     params.require_qes()
     m = j + 2
-    flipped = PhysicalParams(params.M, params.c, params.hbar, params.omega,
-                             -params.q, params.e_charge, params.B)
+    flipped = replace(params, q=-params.q)
     ham = algebraic_hamiltonian(flipped, j)
     module = ThreeTermRecurrence(j, *series_recurrence(ham), "module", "free", "reduced",
-                                 SpectralLedger(), ham)
+                                 SpectralLedger(), flipped, ham)
     if not module.closes:
         raise OperatorError(f"image of rho^{j} has a rho^{j + 1} term: "
                             f"span(1..rho^{j}) not invariant")
     cp = polynomial_family(module).critical
 
     canonical = canonical_gauge(params, m, "free")
-    if recurrence is None or recurrence.mode != "free" or recurrence.gauge != canonical:
+    if (recurrence is None or (recurrence.j, recurrence.mode, recurrence.params,
+                               recurrence.gauge) != (j, "free", params, canonical)):
         recurrence = derived_recurrence(params, j, canonical, "free")
     critical = polynomial_family(recurrence).critical_physical
     offset_published = 2 * params.M * params.c**2 * params.hbar * params.omega

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import warnings
+from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
 
@@ -19,6 +20,8 @@ from hypothesis import strategies as st
 
 from sextic.cli import build_parser, main
 from sextic.model import PhysicalParams
+from sextic.qes import spectrum
+from sextic.render import dumps, spectrum_json
 from sextic.verify import FAULT_NAMES
 
 
@@ -311,7 +314,7 @@ def test_printed_convention_sizes_the_grid_for_its_own_operator():
                      "--convention", "printed"])
     assert code == 0
     p = PhysicalParams.from_mapping({}).for_mode("field")
-    want = oracle.suggest_grid(p, 3, "field", 4, convention="printed")
+    want = oracle.suggest_grid(replace(p, convention="printed"), 3, "field", 4)
     assert json.loads(out)["grid"] == {"r_max": want.r_max, "n": want.n}
     assert want != oracle.suggest_grid(p, 3, "field", 4)
 
@@ -346,6 +349,13 @@ def test_config_file_bad_integer_exits_2(tmp_path):
     cfg.write_text("mode=field\nj=one\n")
     code, _ = run(["spectrum", "--config", str(cfg)])
     assert code == 2
+
+
+def test_the_library_builds_the_printed_block_the_cli_prints():
+    code, out = run(["spectrum", "--mode", "field", "--j", "1", "--convention", "printed"])
+    assert code == 0
+    p = PhysicalParams.from_mapping({})
+    assert out == dumps(spectrum_json(spectrum(replace(p, convention="printed"), 1, "field")))
 
 
 def test_derive_ledger_follows_convention():
@@ -675,8 +685,9 @@ def test_golden_argvs_get_past_the_parser():
     assert set(golden.FAULT_NAMES) == set(FAULT_NAMES)
     parser = build_parser()
     refused = [argv for argv in golden.ARGVS if not _parses(parser, argv)]
-    assert refused == [["verify", "--fast", "--inject-fault", name]
-                       for name in golden.UNKNOWN_FAULTS]
+    bogus = ["oracle", "--mode", "field", "--m", "3", "--count", "3", "--convention", "bogus"]
+    assert refused == [bogus] + [["verify", "--fast", "--inject-fault", name]
+                                 for name in golden.UNKNOWN_FAULTS]
 
 
 def _parses(parser, argv):

@@ -1,5 +1,6 @@
 """Model-layer tests: potentials, radial operators, the spectral map, config."""
 
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -24,7 +25,7 @@ def potential_free(params, m, r):
 
 def potential_magnetic(params, m, r, convention="consistent"):
     """V(r) at the params' field B, summed from its exact coefficients."""
-    cf = potential_coefficients(params, m, "field", convention)
+    cf = potential_coefficients(replace(params, convention=convention), m, "field")
     return sum(v * Q(r) ** e for e, v in cf.items())
 
 
@@ -167,6 +168,8 @@ def test_params_validation():
         PhysicalParams(M=0)
     with pytest.raises(DomainError):
         PhysicalParams(M=1, omega=-1)
+    with pytest.raises(ConfigError, match="unknown field-constant convention 'bogus'"):
+        PhysicalParams(M=1, convention="bogus")
     with pytest.raises(DomainError):
         natural(q=0).require_qes()
     natural(q=Q(-2, 3)).require_qes()  # either sign is fine

@@ -122,6 +122,17 @@ def test_crosspath_rejects_a_broken_module(monkeypatch, extra, error, match):
         crosspath_comparison(natural(), 2)
 
 
+def test_crosspath_reuses_only_the_band_of_its_own_block(monkeypatch):
+    p = natural()
+    # c enters neither the canonical gauge nor the module: only the band's params tell
+    other = derived_recurrence(natural(c=2), 1, None, "free")
+    assert other.gauge == canonical_gauge(p, 3, "free")
+    assert crosspath_comparison(p, 1, other)["implied_offset_matches"]
+    own = derived_recurrence(p, 1, None, "free")
+    monkeypatch.setattr(qes, "derived_recurrence", None)  # the block's own band is reused
+    assert crosspath_comparison(p, 1, own)["implied_offset_matches"]
+
+
 @pytest.mark.parametrize("j", range(7))
 def test_crosspath_exact(j):
     for p in (natural(), natural(M=Q(3, 2), omega=Q(2, 5), q=Q(-7, 3))):
@@ -254,7 +265,7 @@ def test_family_degenerate_interior_row_raises():
     k = QPoly.x()
     rec = ThreeTermRecurrence(j=3, alpha=(k - 1) * (k - 5), beta=QPoly(), gamma=QPoly(),
                               source="derived", mode="field", variable="reduced",
-                              ledger=SpectralLedger())
+                              ledger=SpectralLedger(), params=natural())
     with pytest.raises(FamilyConstructionError) as err:
         polynomial_family(rec)
     assert err.value.row == 1
@@ -677,6 +688,19 @@ def test_spectrum_refuses_a_recurrence_of_another_block():
     # a band of neither source, such as crosspath's module band
     with pytest.raises(QesError, match="a module j = 2 free-mode recurrence cannot build"):
         spectrum(p, 2, "free", recurrence=dataclasses.replace(free_j2, source="module"))
+
+
+def test_spectrum_refuses_a_recurrence_built_from_other_parameters():
+    p = PhysicalParams(M=1, omega=1, q=1)
+    heavy = derived_recurrence(PhysicalParams(M=3, omega=1, q=1), 2, None, "free")
+    with pytest.raises(QesError, match=r"built at M = 3 \(block: 1\) cannot build this block"):
+        spectrum(p, 2, "free", recurrence=heavy)
+    printed = derived_recurrence(dataclasses.replace(p, convention="printed"), 2, None, "field")
+    with pytest.raises(QesError, match=r"convention = printed \(block: consistent\)"):
+        spectrum(p, 2, "field", recurrence=printed)
+    published = published_recurrence(PhysicalParams(M=3, omega=1, q=1), 2, "field")
+    with pytest.raises(QesError, match=r"M = 3 \(block: 1\), B = 6 \(block: 2\)"):
+        spectrum(p, 2, "field", recurrence=published)
 
 
 def test_spectrum_coefficient_vectors():

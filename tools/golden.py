@@ -72,7 +72,11 @@ def _argvs():
             yield ["derive", *level, "--format", "pretty"]
             yield ["polys", *level]
             yield ["compare", *level]
-        yield ["derive", "--mode", mode, "--j", "1", "--convention", "printed"]
+        printed = ["--mode", mode, "--j", "1", "--convention", "printed"]
+        for command in ("derive", "polys", "spectrum", "wavefunction"):
+            yield [command, *printed]
+        yield ["spectrum", *printed, "--oracle"]
+        yield ["compare", "--mode", mode, "--j", "2", "--gauge", "1", "--convention", "printed"]
         for command in ("derive", "polys", "spectrum", "compare"):
             yield [command, "--mode", mode, "--j", "1", "--q", "-1/2"]
     yield ["derive", "--mode", "field", "--j", "63"]
@@ -88,6 +92,7 @@ def _argvs():
     yield ["oracle", "--mode", "free", "--m", "3", "--count", "4"]
     yield ["oracle", "--mode", "field", "--m", "3", "--count", "4"]
     yield ["oracle", "--mode", "field", "--m", "3", "--count", "4", "--convention", "printed"]
+    yield ["oracle", "--mode", "free", "--m", "3", "--count", "3", "--convention", "printed"]
     yield ["oracle", "--mode", "free", "--m", "0", "--count", "3"]
     # the level names m = j + 2; --m alongside --j must agree with it
     yield ["oracle", "--mode", "free", "--j", "1", "--count", "3"]
@@ -128,6 +133,7 @@ def _argvs():
     yield ["spectrum", "--mode", "field", "--j", "1", "--tol", "nan"]
     yield ["oracle", "--mode", "free", "--m", "2", "--count", "0"]
     yield ["oracle", "--mode", "free", "--count", "3"]
+    yield ["oracle", "--mode", "field", "--m", "3", "--count", "3", "--convention", "bogus"]
     yield ["oracle", "--mode", "free", "--m", "2", "--count", "2", "--oracle-n=-5"]
     yield ["oracle", "--box", "--oracle-n", "0"]
     yield ["wavefunction", "--mode", "field", "--j", "2", "--samples=-3"]
@@ -142,7 +148,8 @@ def _argvs():
 #: ``sextic.verify.FAULT_NAMES``: this script imports nothing from the tree it
 #: runs, and tests/test_cli.py checks that the two agree.
 FAULT_NAMES = ("sl2-sign", "quotient-sign", "parity-sign", "ledger-sign")
-#: Not fault names: the parser refuses them, and they are the only argv it refuses.
+#: Not fault names: the parser refuses them, and beside ``--convention bogus``
+#: they are the only argvs it refuses.
 UNKNOWN_FAULTS = ("sl2-relations", "")
 ARGVS = [list(a) for a in dict.fromkeys(map(tuple, _argvs()))]  # the gauge sweep repeats three
 
