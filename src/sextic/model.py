@@ -128,10 +128,14 @@ class PhysicalParams:
         return self.with_qes_field() if mode == "field" and self.B is None else self
 
     def as_dict(self) -> dict[str, str]:
+        """The parameters as strings; ``B`` only when set and ``convention`` only when
+        it is not the default ``consistent``."""
         d = {"M": str(self.M), "c": str(self.c), "hbar": str(self.hbar),
              "omega": str(self.omega), "q": str(self.q), "e": str(self.e_charge)}
         if self.B is not None:
             d["B"] = str(self.B)
+        if self.convention != MAGNETIC_CONVENTIONS[0]:
+            d["convention"] = self.convention
         return d
 
 

@@ -14,10 +14,13 @@ Norsett 1999; Blanes, Casas, Oteo & Ros 2009), built in numpy.  That count
 suffices: on the r_max every caller passes (``suggest_grid``'s, or pi for
 the box) doubling it moves no root by more than 6e-13 relative.
 
-``dstebz`` is scipy's own, reached through the entry point that
-``scipy.linalg.cython_lapack`` publishes and called through ctypes, which
-releases the GIL.  The solves that do not depend on each other run together
-on one thread pool, a worker per CPU the process may use: the two coarsest
+``dstebz`` is that of the ILP64 OpenBLAS that numpy bundles, bound through
+ctypes, which releases the GIL; only where numpy exports no such symbol
+(MKL, Accelerate, numpy 1.x) does the entry point that
+``scipy.linalg.cython_lapack`` publishes stand in.  Shooting finds its root
+by a port of scipy's ``brentq``, so with numpy's own OpenBLAS no command
+imports scipy.  The solves that do not depend on each other run together on
+one thread pool, a worker per CPU the process may use: the two coarsest
 levels of the ladder side by side, and each bracketed level's certifying
 count beside its bracket solves.  Only private helpers run on the pool;
 every public function runs on its caller's thread.
@@ -176,22 +179,48 @@ def _check_norm(norm: float) -> None:
 _DSTEBZ = None
 
 
+def _numpy_dstebz():
+    """``dstebz`` of the ILP64 OpenBLAS that numpy's wheels bundle and ``import numpy``
+    loads, looked up through numpy's extension module; None where numpy exports no
+    such symbol (MKL, Accelerate, numpy 1.x)."""
+    import ctypes
+    try:
+        func = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_dstebz_64_
+    except (AttributeError, OSError):
+        return None
+    # all 18 arguments are pointers: RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL, D, E,
+    # M, NSPLIT, W, IBLOCK, ISPLIT, WORK, IWORK, INFO.  Undeclared, they would be
+    # passed as C ints, which truncates the array addresses
+    func.argtypes, func.restype = [ctypes.c_void_p] * 18, None
+    return func
+
+
+def _scipy_dstebz():
+    """``dstebz`` as scipy publishes it in ``cython_lapack``, with 32-bit integers."""
+    import ctypes
+    try:
+        from scipy.linalg.cython_lapack import __pyx_capi__
+    except ImportError as exc:
+        raise ImportError("no LAPACK dstebz: numpy's OpenBLAS exports no scipy_dstebz_64_ "
+                          "and scipy.linalg.cython_lapack does not import") from exc
+    capsule, api = __pyx_capi__["dstebz"], ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 18)(pointer(capsule, name(capsule)))
+
+
 def _dstebz():
-    """LAPACK ``dstebz`` as scipy publishes it in ``cython_lapack``, bound through
-    ctypes, whose foreign calls release the GIL.  Bound on the first call, so that
-    loading the package (and every exact command) never imports scipy."""
+    """(LAPACK ``dstebz``, its integer ctype, its integer dtype), bound through ctypes,
+    whose foreign calls release the GIL, on the first call: numpy's own with
+    64-bit integers, else scipy's with 32-bit ones, the one case that imports
+    scipy."""
     global _DSTEBZ
     if _DSTEBZ is None:
         import ctypes
-        from scipy.linalg.cython_lapack import __pyx_capi__
-
-        capsule, api = __pyx_capi__["dstebz"], ctypes.pythonapi
-        name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
-        pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-            ("PyCapsule_GetPointer", api))
-        # all 18 arguments are pointers: RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL, D, E,
-        # M, NSPLIT, W, IBLOCK, ISPLIT, WORK, IWORK, INFO
-        _DSTEBZ = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 18)(pointer(capsule, name(capsule)))
+        func = _numpy_dstebz()
+        _DSTEBZ = ((_scipy_dstebz(), ctypes.c_int, np.intc) if func is None
+                   else (func, ctypes.c_int64, np.int64))
     return _DSTEBZ
 
 
@@ -218,14 +247,15 @@ def _stebz(diag: np.ndarray, off: np.ndarray, norm: float, select: str, select_r
         raise ValueError(f"d {diag.shape} must be 1-D with one more element than e {off.shape}")
     a, b = select_range
     vl, vu, il, iu = (a, b, 1, 1) if select == "v" else (0.0, 1.0, a + 1, b + 1)
-    m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
+    dstebz, num, inum = _dstebz()
+    m, nsplit, info = num(), num(), num()
     w, work = np.empty(n), np.empty(4 * n)
-    iblock, isplit, iwork = (np.empty(k * n, dtype=np.intc) for k in (1, 1, 3))
-    ref, num, dbl = ctypes.byref, ctypes.c_int, ctypes.c_double
-    _dstebz()(select.upper().encode(), b"E", ref(num(n)), ref(dbl(vl)), ref(dbl(vu)),
-              ref(num(il)), ref(num(iu)), ref(dbl(tol)), diag.ctypes.data, off.ctypes.data,
-              ref(m), ref(nsplit), w.ctypes.data, iblock.ctypes.data, isplit.ctypes.data,
-              work.ctypes.data, iwork.ctypes.data, ref(info))
+    iblock, isplit, iwork = (np.empty(k * n, dtype=inum) for k in (1, 1, 3))
+    ref, dbl = ctypes.byref, ctypes.c_double
+    dstebz(select.upper().encode(), b"E", ref(num(n)), ref(dbl(vl)), ref(dbl(vu)),
+           ref(num(il)), ref(num(iu)), ref(dbl(tol)), diag.ctypes.data, off.ctypes.data,
+           ref(m), ref(nsplit), w.ctypes.data, iblock.ctypes.data, isplit.ctypes.data,
+           work.ctypes.data, iwork.ctypes.data, ref(info))
     if info.value < 0:
         raise np.linalg.LinAlgError(f"illegal value in argument {-info.value} of dstebz")
     if info.value:
@@ -245,7 +275,7 @@ def _pool():
     with _POOL_LOCK:
         if _POOL[0] != os.getpid():
             from concurrent.futures import ThreadPoolExecutor
-            _dstebz()  # bound here, so that no two threads import scipy at once
+            _dstebz()  # bound once, here, before any worker runs
             cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                     else os.cpu_count())
             _POOL = (os.getpid(), ThreadPoolExecutor(cpus or 1, thread_name_prefix="sextic-dstebz"))
@@ -584,6 +614,51 @@ def _propagate(h: float, w: np.ndarray, y0) -> np.ndarray:
     return y / np.max(np.abs(y))
 
 
+def _brentq(f, a: float, b: float, fa: float, fb: float, xtol: float, rtol: float) -> float:
+    """A root of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4), given
+    fa = f(a) and fb = f(b) of opposite signs or one of them zero.
+
+    A port of scipy's ``brentq.c``: it steps exactly as
+    ``scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)`` does and returns
+    its root bit for bit, without calling ``f`` at the ends again.  After 100
+    iterations without convergence it raises ``RuntimeError``, as ``brentq`` does.
+    """
+    xpre, xcur, fpre, fcur = a, b, fa, fb
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur}")
+
+
 def shoot(op: DiffOperator, target: float, bracket: tuple[float, float],
           r_max: float) -> float:
     """An eigenvalue of op = -k D^2 + U(r) near ``target``: a matching Wronskian's root.
@@ -600,8 +675,6 @@ def shoot(op: DiffOperator, target: float, bracket: tuple[float, float],
     more than 6e-13 relative.  :class:`DomainError` when the potential or a
     step overflows (r_max too large).
     """
-    from scipy.optimize import brentq
-
     kin, mult = _operator_floats(op)
     r0 = 1e-4 * r_max
     probe = np.linspace(r0, r_max, 257)
@@ -642,10 +715,10 @@ def shoot(op: DiffOperator, target: float, bracket: tuple[float, float],
 
     a, b = bracket
     wa, wb = wronskian(a), wronskian(b)
-    if wa * wb > 0:
+    if wa and wb and (wa > 0) == (wb > 0):  # a product could underflow to 0
         raise DomainError(
             f"no Wronskian sign change in bracket ({a}, {b}): no eigenvalue located")
-    return float(brentq(wronskian, a, b, xtol=1e-12 * max(1.0, abs(target)), rtol=1e-12))
+    return float(_brentq(wronskian, a, b, wa, wb, 1e-12 * max(1.0, abs(target)), 1e-12))
 
 
 # ---------------------------------------------------------------------------

@@ -368,6 +368,22 @@ def test_derive_ledger_follows_convention():
     assert shifts == {json.loads(out)["ledger"]["shift"]}
 
 
+@pytest.mark.parametrize("command", [["derive"], ["polys"], ["spectrum"], ["compare"],
+                                     ["oracle", "--m", "3", "--count", "2"]],
+                         ids=lambda command: command[0])
+def test_the_params_name_a_convention_that_is_not_the_default(command):
+    argv = [*command, "--mode", "field", "--j", "1", "--oracle-n", "256"]
+    if command[0] in ("derive", "polys"):
+        argv = argv[:-2]
+    reports = {}
+    for convention in ("consistent", "printed"):
+        code, out = run([*argv, "--convention", convention])
+        assert code == 0
+        reports[convention] = json.loads(out)["params"]
+    assert "convention" not in reports["consistent"]
+    assert reports["printed"] == {**reports["consistent"], "convention": "printed"}
+
+
 @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
 def test_config_path_unreadable_exits_2(kind, tmp_path, capsys):
     path = tmp_path

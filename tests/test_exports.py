@@ -59,7 +59,7 @@ def _import_time_nodes(node):
 
 
 def test_no_module_imports_scipy_at_import_time():
-    # the exact commands never need scipy; only the float oracle's calls import it
+    # no command needs scipy; only the oracle's fallback dstebz binding imports it
     found = []
     for path in sorted(Path(sextic.__file__).parent.glob("*.py")):
         for node in _import_time_nodes(ast.parse(path.read_text(), str(path))):

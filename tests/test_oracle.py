@@ -3,6 +3,7 @@
 import concurrent.futures
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -169,9 +170,33 @@ def _stebz_cases():
         yield np.full(500, 2 * s), np.full(499, -s)
 
 
-@pytest.mark.parametrize("diag, off", list(_stebz_cases()),
-                         ids=["random-1", "random-2", "random-500", "s-1e130", "s-1e-130"])
-def test_the_binding_equals_scipys_stebz_bit_for_bit(diag, off):
+def _rebind(monkeypatch, numpy_symbol=True):
+    """Forget the bound dstebz; without ``numpy_symbol``, numpy's lookup fails, so
+    that the next solve binds scipy's ``cython_lapack`` fallback."""
+    if not numpy_symbol:
+        monkeypatch.setattr(oracle, "_numpy_dstebz", lambda: None)
+    monkeypatch.setattr(oracle, "_DSTEBZ", None)
+
+
+@pytest.fixture(params=["numpy", "cython_lapack"])
+def binding(request, monkeypatch):
+    """dstebz bound afresh: numpy's own, or the forced ``cython_lapack`` fallback."""
+    if request.param == "numpy" and oracle._numpy_dstebz() is None:
+        pytest.skip("numpy exports no scipy_dstebz_64_")
+    _rebind(monkeypatch, numpy_symbol=request.param == "numpy")
+    oracle._dstebz()  # bound before any pool worker reads it
+    return request.param
+
+
+_STEBZ_IDS = ["random-1", "random-2", "random-500", "s-1e130", "s-1e-130"]
+
+
+@pytest.mark.parametrize("binding, diag, off",
+                         [(b, *case) for b in ("numpy", "cython_lapack") for case in _stebz_cases()],
+                         ids=[p + i for p in ("", "cython_lapack-") for i in _STEBZ_IDS],
+                         indirect=["binding"])
+def test_the_binding_equals_scipys_stebz_bit_for_bit(binding, diag, off):
+    assert oracle._dstebz()[2] is {"numpy": np.int64, "cython_lapack": np.intc}[binding]
     norm = oracle._norm(diag, off)
     n, eps = len(diag), np.finfo(float).eps
     lam = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
@@ -187,6 +212,25 @@ def test_the_binding_equals_scipys_stebz_bit_for_bit(diag, off):
                                                  lapack_driver="stebz", tol=tol)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), \
                 (select, select_range, tol)
+
+
+def test_the_fallback_binding_refines_bit_for_bit(monkeypatch):
+    p = PhysicalParams(M=Q(8, 3), omega=2, q=4, hbar=Q(1, 2))
+
+    def solve():
+        return repr(refine(p, 3, "field", 4, suggest_grid(p, 3, "field", 4)))
+
+    default = solve()
+    _rebind(monkeypatch, numpy_symbol=False)
+    assert oracle._dstebz()[2] is np.intc
+    assert solve() == default
+
+
+def test_no_binding_names_both_it_looked_for(monkeypatch):
+    _rebind(monkeypatch, numpy_symbol=False)
+    monkeypatch.setitem(sys.modules, "scipy.linalg.cython_lapack", None)  # import fails
+    with pytest.raises(ImportError, match="numpy.*scipy_dstebz_64_.*scipy.linalg.cython_lapack"):
+        eigenvalues_bisection(np.ones(4), np.zeros(3), 1)
 
 
 def test_the_binding_raises_on_a_lapack_error():
@@ -793,32 +837,79 @@ def _run_fresh(code):
     assert done.returncode == 0, done.stderr
 
 
-def test_verify_never_loads_scipy_integrate():
-    _run_fresh("import contextlib, io, sys\n"
-               "from sextic.cli import main\n"
-               "with contextlib.redirect_stdout(io.StringIO()):\n"
-               "    assert main(['verify']) == 0\n"
-               "assert 'scipy.integrate' not in sys.modules\n")
+@st.composite
+def _bracketed_functions(draw):
+    """(f, a, b, xtol, rtol): a smooth f with one root in [a, b] and a sign change
+    there, f(x) = sign(x - r) |x - r|^p (1 + s sin(w x)) e^(c x) with |s| < 1."""
+    a = draw(st.floats(-1e3, 1e3))
+    b = a + draw(st.floats(1e-6, 1e3))
+    r = a + (b - a) * draw(st.floats(0, 1))  # at a or b now and then: f is 0 there
+    p = draw(st.sampled_from([1, 2, 3, 0.5]))
+    s, w, c = draw(st.floats(-0.9, 0.9)), draw(st.floats(0, 50)), draw(st.floats(-2, 2))
+    xtol, rtol = draw(st.sampled_from([(2e-12, 4 * np.finfo(float).eps), (1e-12, 1e-12),
+                                       (1e-12 * max(1.0, abs(r)), 1e-12), (1e-6, 1e-9)]))
+
+    def f(x):
+        return (math.copysign(abs(x - r) ** p, x - r) * (1 + s * math.sin(w * x))
+                * math.exp(c * (x - a) / (b - a)))
+
+    return f, a, b, xtol, rtol
 
 
-def test_exact_commands_never_load_scipy():
-    # only the float oracle (dstebz, brentq) needs scipy; compare runs it
-    exact = [["derive", "--mode", "free", "--j", "2"], ["polys", "--mode", "field", "--j", "4"],
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_bracketed_functions())
+def test_the_brent_port_is_scipys_brentq_bit_for_bit(case):
+    from scipy.optimize import brentq
+    f, a, b, xtol, rtol = case
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    want = brentq(f, a, b, xtol=xtol, rtol=rtol, full_output=True, disp=False)[1]
+    if not want.converged:  # a slow p = 1/2 root: both give up at the same point
+        with pytest.raises(RuntimeError, match=re.escape(f"value is {want.root!r}")):
+            oracle._brentq(counted, a, b, counted(a), counted(b), xtol, rtol)
+    else:
+        got = oracle._brentq(counted, a, b, counted(a), counted(b), xtol, rtol)
+        assert got.hex() == want.root.hex()
+    assert len(calls) <= want.function_calls
+
+
+def test_the_brent_port_raises_where_brentq_does_not_converge():
+    from scipy.optimize import brentq
+
+    def step(x):  # a jump at 1e-200 in a bracket of 2e300: 100 iterations do not reach it
+        return 1.0 if x > 1e-200 else -1.0
+
+    want = brentq(step, -1e300, 1e300, xtol=1e-300, full_output=True, disp=False)[1]
+    assert not want.converged and want.iterations == 100
+    with pytest.raises(RuntimeError, match=re.escape(f"after 100 iterations, value is {want.root!r}")):
+        oracle._brentq(step, -1e300, 1e300, -1.0, 1.0, 1e-300, 4 * np.finfo(float).eps)
+
+
+def test_no_command_loads_scipy():
+    # numpy's own OpenBLAS serves dstebz and the oracle carries its own Brent root
+    # finder, so neither the exact commands nor the float oracle's import scipy
+    argvs = [["derive", "--mode", "free", "--j", "2"], ["polys", "--mode", "field", "--j", "4"],
              *(["spectrum", "--mode", mode, "--j", str(j)]
                for mode in ("free", "field") for j in range(21)),
              ["spectrum", "--mode", "free", "--j", "0", "--gauge", "3"],
-             ["wavefunction", "--mode", "field", "--j", "2"]]
+             ["wavefunction", "--mode", "field", "--j", "2"],
+             ["compare", "--mode", "field", "--j", "0", "--oracle-n", "256"],
+             ["compare", "--mode", "free", "--j", "2"],
+             ["oracle", "--mode", "field", "--m", "3", "--count", "3"],
+             ["spectrum", "--mode", "field", "--j", "1", "--oracle"],
+             ["verify"], ["verify", "--fast"]]
     _run_fresh("import contextlib, io, sys\n"
                "import sextic.oracle, sextic.verify\n"
                "assert 'scipy' not in sys.modules\n"
                "from sextic.cli import main\n"
-               f"for argv in {exact!r}:\n"
+               f"for argv in {argvs!r}:\n"
                "    with contextlib.redirect_stdout(io.StringIO()):\n"
                "        assert main(argv) == 0, argv\n"
-               "    assert 'scipy' not in sys.modules, argv\n"
-               "with contextlib.redirect_stdout(io.StringIO()):\n"
-               "    assert main(['compare', '--mode', 'field', '--j', '0', '--oracle-n', '256']) == 0\n"
-               "assert 'scipy.linalg' in sys.modules\n")
+               "    assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], argv\n")
 
 
 # ---------------------------------------------------------------------------
