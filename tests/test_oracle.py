@@ -890,21 +890,15 @@ def test_the_brent_port_raises_where_brentq_does_not_converge():
         oracle._brentq(step, -1e300, 1e300, -1.0, 1.0, 1e-300, 4 * np.finfo(float).eps)
 
 
-def test_no_command_loads_scipy():
-    # numpy's own OpenBLAS serves dstebz and the oracle carries its own Brent root
-    # finder, so neither the exact commands nor the oracle's commands import scipy
-    if oracle._numpy_dstebz() is None:
-        pytest.skip("numpy exports no scipy_dstebz_64_: the fallback binding imports scipy")
-    argvs = [["derive", "--mode", "free", "--j", "2"], ["polys", "--mode", "field", "--j", "4"],
-             *(["spectrum", "--mode", mode, "--j", str(j)]
-               for mode in ("free", "field") for j in range(21)),
-             ["spectrum", "--mode", "free", "--j", "0", "--gauge", "3"],
-             ["wavefunction", "--mode", "field", "--j", "2"],
-             ["compare", "--mode", "field", "--j", "0", "--oracle-n", "256"],
-             ["compare", "--mode", "free", "--j", "2"],
-             ["oracle", "--mode", "field", "--m", "3", "--count", "3"],
-             ["spectrum", "--mode", "field", "--j", "1", "--oracle"],
-             ["verify"], ["verify", "--fast"]]
+def test_verify_never_loads_scipy_integrate():
+    _run_fresh("import contextlib, io, sys\n"
+               "from sextic.cli import main\n"
+               "with contextlib.redirect_stdout(io.StringIO()):\n"
+               "    assert main(['verify']) == 0\n"
+               "assert 'scipy.integrate' not in sys.modules\n")
+
+
+def _assert_commands_load_no_scipy(argvs):
     _run_fresh("import contextlib, io, sys\n"
                "import sextic.oracle, sextic.verify\n"
                "assert 'scipy' not in sys.modules\n"
@@ -913,6 +907,28 @@ def test_no_command_loads_scipy():
                "    with contextlib.redirect_stdout(io.StringIO()):\n"
                "        assert main(argv) == 0, argv\n"
                "    assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], argv\n")
+
+
+def test_exact_commands_never_load_scipy():
+    _assert_commands_load_no_scipy(
+        [["derive", "--mode", "free", "--j", "2"], ["polys", "--mode", "field", "--j", "4"],
+         *(["spectrum", "--mode", mode, "--j", str(j)]
+           for mode in ("free", "field") for j in range(21)),
+         ["spectrum", "--mode", "free", "--j", "0", "--gauge", "3"],
+         ["wavefunction", "--mode", "field", "--j", "2"]])
+
+
+def test_no_command_loads_scipy():
+    # numpy's own OpenBLAS serves dstebz and the oracle carries its own Brent root
+    # finder, so the oracle's commands do not import scipy either
+    if oracle._numpy_dstebz() is None:
+        pytest.skip("numpy exports no scipy_dstebz_64_: the fallback binding imports scipy")
+    _assert_commands_load_no_scipy(
+        [["compare", "--mode", "field", "--j", "0", "--oracle-n", "256"],
+         ["compare", "--mode", "free", "--j", "2"],
+         ["oracle", "--mode", "field", "--m", "3", "--count", "3"],
+         ["spectrum", "--mode", "field", "--j", "1", "--oracle"],
+         ["verify"], ["verify", "--fast"]])
 
 
 # ---------------------------------------------------------------------------
