@@ -21,9 +21,10 @@ ctypes, which releases the GIL; only where numpy exports no such symbol
 by a port of scipy's ``brentq``, so with numpy's own OpenBLAS no command
 imports scipy.  The solves that do not depend on each other run together on
 one thread pool, a worker per CPU the process may use: the two coarsest
-levels of the ladder side by side, and each bracketed level's certifying
-count beside its bracket solves.  Only private helpers run on the pool;
-every public function runs on its caller's thread.
+levels of the ladder side by side, and each bracketed level's brackets in
+one group per worker, each group counted at its ends and then bisected by
+one call of ``dlaebz``, the kernel of ``dstebz``.  Only private helpers run
+on the pool; every public function runs on its caller's thread.
 
 This solver always discretizes the physical operator, constants included;
 algebraic-block eigenvalues are mapped onto the same scale by their ledger
@@ -76,6 +77,7 @@ _FLOOR_FRACTION = 64
 # the range no square overflows, and a drop moves an eigenvalue by less
 # than eps * ||T||
 _STEBZ_NORMS = (1e-135, 1e135)
+_SAFMIN = float(np.finfo(float).tiny)  # LAPACK's DLAMCH('S'); its DLAMCH('P') is _EPS
 _MARGIN, _V_MARGIN = 1.5, 4.0  # suggest_grid: turning-point and potential margins
 _STEPS = 2048  # Magnus steps per shooting leg, a power of two for the pairwise product
 _GAUSS = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
@@ -177,50 +179,56 @@ def _check_norm(norm: float) -> None:
 
 
 _DSTEBZ = None
+_ARGS = {"dstebz": 18, "dlaebz": 20}  # LAPACK routine: its arguments, all pointers
 
 
 def _numpy_dstebz():
-    """``dstebz`` of the ILP64 OpenBLAS that numpy's wheels bundle and ``import numpy``
-    loads, looked up through numpy's extension module; None where numpy exports no
-    such symbol (MKL, Accelerate, numpy 1.x)."""
+    """``dstebz`` and ``dlaebz``, the bisection kernel it calls, of the ILP64 OpenBLAS
+    that numpy's wheels bundle and ``import numpy`` loads, looked up through numpy's
+    extension module; None where numpy exports no such symbols (MKL, Accelerate,
+    numpy 1.x)."""
     import ctypes
     try:
-        func = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_dstebz_64_
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        funcs = [getattr(lib, f"scipy_{name}_64_") for name in _ARGS]
     except (AttributeError, OSError):
         return None
-    # all 18 arguments are pointers: RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL, D, E,
-    # M, NSPLIT, W, IBLOCK, ISPLIT, WORK, IWORK, INFO.  Undeclared, they would be
-    # passed as C ints, which truncates the array addresses
-    func.argtypes, func.restype = [ctypes.c_void_p] * 18, None
-    return func
+    # every argument is a pointer (dstebz: RANGE, ORDER, N, VL, ..., INFO).  Undeclared,
+    # they would be passed as C ints, which truncates the array addresses
+    for func, args in zip(funcs, _ARGS.values()):
+        func.argtypes, func.restype = [ctypes.c_void_p] * args, None
+    return funcs
 
 
 def _scipy_dstebz():
-    """``dstebz`` as scipy publishes it in ``cython_lapack``, with 32-bit integers."""
+    """``dstebz`` and ``dlaebz`` as scipy publishes them in ``cython_lapack``, with
+    32-bit integers."""
     import ctypes
     try:
         from scipy.linalg.cython_lapack import __pyx_capi__
     except ImportError as exc:
         raise ImportError("no LAPACK dstebz: numpy's OpenBLAS exports no scipy_dstebz_64_ "
                           "and scipy.linalg.cython_lapack does not import") from exc
-    capsule, api = __pyx_capi__["dstebz"], ctypes.pythonapi
+    api = ctypes.pythonapi
     name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
     pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", api))
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 18)(pointer(capsule, name(capsule)))
+    return [ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * args)(
+        pointer(__pyx_capi__[routine], name(__pyx_capi__[routine])))
+        for routine, args in _ARGS.items()]
 
 
 def _dstebz():
-    """(LAPACK ``dstebz``, its integer ctype, its integer dtype), bound through ctypes,
-    whose foreign calls release the GIL, on the first call: numpy's own with
-    64-bit integers, else scipy's with 32-bit ones, the one case that imports
-    scipy."""
+    """(LAPACK ``dstebz``, LAPACK ``dlaebz``, their integer ctype, their integer dtype),
+    bound through ctypes, whose foreign calls release the GIL, on the first call:
+    numpy's own with 64-bit integers, else scipy's with 32-bit ones, the one case
+    that imports scipy."""
     global _DSTEBZ
     if _DSTEBZ is None:
         import ctypes
-        func = _numpy_dstebz()
-        _DSTEBZ = ((_scipy_dstebz(), ctypes.c_int, np.intc) if func is None
-                   else (func, ctypes.c_int64, np.int64))
+        funcs = _numpy_dstebz()
+        _DSTEBZ = ((*_scipy_dstebz(), ctypes.c_int, np.intc) if funcs is None
+                   else (*funcs, ctypes.c_int64, np.int64))
     return _DSTEBZ
 
 
@@ -247,7 +255,7 @@ def _stebz(diag: np.ndarray, off: np.ndarray, norm: float, select: str, select_r
         raise ValueError(f"d {diag.shape} must be 1-D with one more element than e {off.shape}")
     a, b = select_range
     vl, vu, il, iu = (a, b, 1, 1) if select == "v" else (0.0, 1.0, a + 1, b + 1)
-    dstebz, num, inum = _dstebz()
+    dstebz, _, num, inum = _dstebz()
     m, nsplit, info = num(), num(), num()
     w, work = np.empty(n), np.empty(4 * n)
     iblock, isplit, iwork = (np.empty(k * n, dtype=inum) for k in (1, 1, 3))
@@ -263,29 +271,53 @@ def _stebz(diag: np.ndarray, off: np.ndarray, norm: float, select: str, select_r
     return w[:m.value]
 
 
-_POOL = (None, None)  # (pid, executor): a forked child starts a pool of its own
+def _laebz(job: int, ab: np.ndarray, nab: np.ndarray, *, diag: np.ndarray, off: np.ndarray,
+           e2: np.ndarray, pivmin: float, tol: float, nitmax: int) -> None:
+    """One LAPACK ``dlaebz`` call, the kernel of ``dstebz``, on the k intervals
+    (ab[0, j], ab[1, j]] of the system with e2 = off * off, ``ab`` and ``nab`` of
+    shape (2, k) and updated in place; its other inputs are those ``dstebz``
+    passes: the pivot guard ``pivmin``, the absolute tolerance ``tol``, the
+    relative tolerance 2 ulp and no vector loop.
+
+    Job 1 sets ``nab`` to the number of eigenvalues <= each end.  Job 2, given
+    those counts, bisects every interval in at most ``nitmax`` steps, each of
+    which holds one eigenvalue; it may return them in another order, each with
+    its counts.  Non-convergence raises ``np.linalg.LinAlgError``, as does an
+    interval that holds several (more than k intervals would come back).
+    """
+    import ctypes
+
+    _, dlaebz, num, _ = _dstebz()
+    k = ab.shape[1]
+    c, work, iwork = np.empty(k), np.empty(k), np.empty(k, dtype=nab.dtype)
+    mout, info = num(), num()  # MOUT: k intervals, none of which splits
+    ref, dbl = ctypes.byref, ctypes.c_double
+    dlaebz(ref(num(job)), ref(num(nitmax)), ref(num(len(diag))), ref(num(k)), ref(num(k)),
+           ref(num(0)), ref(dbl(tol)), ref(dbl(2 * _EPS)), ref(dbl(pivmin)), diag.ctypes.data,
+           off.ctypes.data, e2.ctypes.data, None, ab.ctypes.data, c.ctypes.data, ref(mout),
+           nab.ctypes.data, work.ctypes.data, iwork.ctypes.data, ref(info))  # NVAL unread
+    if info.value:
+        raise np.linalg.LinAlgError(f"dlaebz did not converge (LAPACK info={info.value})")
+
+
+_POOL = (None, None, 0)  # (pid, executor, workers): a forked child starts a pool of its own
 _POOL_LOCK = threading.Lock()
 
 
 def _pool():
-    """The module's thread pool, one worker per CPU this process may use, made on
-    first use.  Only private helpers run on it: the public functions stay on the
-    caller's thread."""
+    """(the module's thread pool, its worker count), one worker per CPU this process
+    may use, made on first use.  Only private helpers run on it: the public
+    functions stay on the caller's thread."""
     global _POOL
     with _POOL_LOCK:
         if _POOL[0] != os.getpid():
             from concurrent.futures import ThreadPoolExecutor
             _dstebz()  # bound once, here, before any worker runs
             cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count())
-            _POOL = (os.getpid(), ThreadPoolExecutor(cpus or 1, thread_name_prefix="sextic-dstebz"))
-        return _POOL[1]
-
-
-def _count_up_to(diag: np.ndarray, off: np.ndarray, norm: float, x: float) -> int:
-    """Number of eigenvalues <= x: ``dstebz`` over the value range (-inf, x], with the
-    largest float as tolerance, which asks for no bisection."""
-    return len(_stebz(diag, off, norm, "v", (-np.inf, x), np.finfo(float).max))
+                    else os.cpu_count()) or 1
+            _POOL = (os.getpid(), ThreadPoolExecutor(cpus, thread_name_prefix="sextic-dstebz"),
+                     cpus)
+        return _POOL[1:]
 
 
 def sturm_count(diag: np.ndarray, off: np.ndarray, sigma: float) -> int:
@@ -303,7 +335,9 @@ def sturm_count(diag: np.ndarray, off: np.ndarray, sigma: float) -> int:
     if sigma == -math.inf:
         return 0
     diag, off = np.asarray(diag, dtype=np.float64), np.asarray(off, dtype=np.float64)
-    return _count_up_to(diag, off, _norm(diag, off), float(np.nextafter(sigma, -np.inf)))
+    below = float(np.nextafter(sigma, -np.inf))
+    # the largest float as tolerance asks for no bisection
+    return len(_stebz(diag, off, _norm(diag, off), "v", (-np.inf, below), np.finfo(float).max))
 
 
 def _prepare(diag: np.ndarray, off: np.ndarray, count: int):
@@ -339,13 +373,17 @@ def eigenvalues_bisection(diag: np.ndarray, off: np.ndarray, count: int,
     5.3), so halving further adds nothing; this stops 6 halvings past it.
 
     ``near = (centres, half_widths)`` asks for a bracket per eigenvalue,
-    each solved by ``dstebz`` over the value range (c - w, c + w].  Their
-    values are returned only when the brackets are disjoint, each holds
-    exactly one eigenvalue and the Sturm count at the top bracket's upper
-    end is ``count``: then they are the lowest ``count`` eigenvalues.
-    Otherwise, and without ``near``, one ``dstebz`` call by index from the
-    Gershgorin bounds finds them.  The count and the bracket solves run
-    together on the module's thread pool.
+    each bisected over the value range (c - w, c + w] as ``dstebz`` would
+    bisect it alone, bit for bit.  The brackets are split into one group per
+    worker of the module's thread pool, the caller's thread taking one, and
+    each group is counted at its ends by one LAPACK ``dlaebz`` call.  Their
+    values are returned only when the brackets are disjoint and the counts
+    show that bracket j holds eigenvalue j alone: then each group is bisected
+    by one more ``dlaebz`` call, and they are the lowest ``count``
+    eigenvalues.  Otherwise, and without ``near``, one ``dstebz`` call by
+    index from the Gershgorin bounds finds them; so too where ``dstebz``
+    would bisect another interval than a bracket, in a system it splits or
+    for a bracket outside the Gershgorin interval.
     """
     diag, off = np.asarray(diag, dtype=np.float64), np.asarray(off, dtype=np.float64)
     norm, tol = _prepare(diag, off, count)
@@ -356,40 +394,56 @@ def eigenvalues_bisection(diag: np.ndarray, off: np.ndarray, count: int,
     return _lowest(diag, off, count, norm, tol)
 
 
-def _in_bracket(diag, off, norm, a: float, b: float, tol: float):
-    """The one eigenvalue in (a, b], or None when the bracket holds none or several."""
-    values = _stebz(diag, off, norm, "v", (a, b), tol)
-    return values[0] if len(values) == 1 else None
+def _on_pool(pool, tasks: list) -> list:
+    """The results of ``tasks``, callables run together: the first on the caller's
+    thread, the others on ``pool``.  Every result is read."""
+    futures = [pool.submit(task) for task in tasks[1:]]
+    try:
+        first = tasks[0]()
+    finally:
+        rest = [future.result() for future in futures]
+    return [first, *rest]
 
 
 def _bracketed(diag, off, norm, count, tol, centres, half_widths) -> Optional[np.ndarray]:
     """The bracket solves of :func:`eigenvalues_bisection`, or None when they are not
-    certified to be the lowest ``count`` eigenvalues."""
+    certified to be the lowest ``count`` eigenvalues or ``dstebz`` would not bisect
+    the brackets as given."""
     centres, half_widths = np.asarray(centres, dtype=float), np.asarray(half_widths, dtype=float)
     lo, hi = centres - half_widths, centres + half_widths
+    # dstebz answers one unknown without bisection.  Over (lo, hi] it splits the system
+    # where |d_j d_j-1| ulp^2 + safmin > e_j-1^2, and bisects from the bracket clipped
+    # to its block's Gershgorin interval, widened by a fudge.  With no split and every
+    # bracket inside the unwidened interval it bisects the bracket itself, with the
+    # inputs dlaebz is given here
     if (len(lo) != count or not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi))
-            or np.any(lo[1:] < hi[:-1])):
+            or np.any(lo[1:] < hi[:-1]) or len(diag) < 2):
         return None
-    # the number of eigenvalues <= x grows with x: with count of them <= hi[-1] and
-    # one in each disjoint (lo, hi], none lies below lo[0] or between two brackets.
-    # The count and the brackets are solved at once and read in that order, so
-    # the first that fails decides, as if they had run one after the other
-    pool = _pool()
-    top = pool.submit(_count_up_to, diag, off, norm, float(hi[-1]))
-    solves = [pool.submit(_in_bracket, diag, off, norm, a, b, tol) for a, b in zip(lo, hi)]
-    try:
-        if top.result() != count:
-            return None
-        found = []
-        for solve in solves:
-            value = solve.result()
-            if value is None:
-                return None
-            found.append(value)
-        return np.array(found)
-    finally:
-        for solve in solves:
-            solve.cancel()
+    e2 = off * off
+    edge = np.abs(np.concatenate(([0.0], off, [0.0])))
+    if (np.any(np.abs(diag[1:] * diag[:-1]) * _EPS**2 + _SAFMIN > e2)
+            or lo[0] < np.min(diag - edge[:-1] - edge[1:])
+            or hi[-1] > np.max(diag + edge[:-1] + edge[1:])):
+        return None
+    pivmin = max(1.0, float(np.max(e2))) * _SAFMIN
+    # dstebz's iteration cap of the widest bracket; each converges long before its own
+    nitmax = int(np.max((np.log(hi - lo + pivmin) - math.log(pivmin)) / math.log(2.0))) + 2
+    pool, workers = _pool()
+    ends = [count * i // workers for i in range(workers + 1)]
+    groups = [(np.array([lo[a:b], hi[a:b]]), np.empty((2, b - a), dtype=_dstebz()[3]))
+              for a, b in zip(ends, ends[1:]) if a < b]
+    solve = partial(_laebz, diag=diag, off=off, e2=e2, pivmin=pivmin, tol=tol, nitmax=nitmax)
+    # the counts at every bracket end, all read before any bracket is bisected: the
+    # brackets hold the lowest eigenvalues when bracket j holds eigenvalue j alone
+    _on_pool(pool, [partial(solve, 1, ab, nab) for ab, nab in groups])
+    if not np.array_equal(np.concatenate([nab for _, nab in groups], axis=1),
+                          [np.arange(count), np.arange(1, count + 1)]):
+        return None
+    _on_pool(pool, [partial(solve, 2, ab, nab) for ab, nab in groups])
+    values = np.empty(count)
+    for ab, nab in groups:  # dlaebz reorders the intervals, each with its counts
+        values[nab[0]] = 0.5 * (ab[0] + ab[1])
+    return values
 
 
 def _levels(op: DiffOperator, grid: Grid, count: int):
@@ -530,7 +584,7 @@ def refine(params: Optional[PhysicalParams], m: int, mode: str, count: int,
     # its solve runs on the pool while the second is solved here; its error, if
     # any, wins, as when the two ran in turn
     diag, off = next(levels)
-    first = _pool().submit(_lowest, diag, off, count, *_prepare(diag, off, count))
+    first = _pool()[0].submit(_lowest, diag, off, count, *_prepare(diag, off, count))
     try:
         second = eigenvalues_bisection(*next(levels), count)
     finally:
@@ -898,7 +952,7 @@ def _domain(op: DiffOperator, count: int, n: int) -> float:
         while u(hi) < lam_top:
             hi *= 2.0
         probe = np.linspace(hi / 512, hi, 512)
-        lo = float(probe[int(np.argmin([u(r) for r in probe]))])
+        lo = float(probe[int(np.argmin(u(probe)))])
         if u(lo) >= lam_top:
             r_turn = lo
         else:

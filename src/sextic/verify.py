@@ -165,9 +165,9 @@ def check_wavefunction_residual(fault: Optional[str] = None) -> CheckResult:
     for mode in ("free", "field"):
         for j in range(4):
             spec = spectrum(params, j, mode)
+            op = radial_operator(params, j + 2, mode)
             for i, ph in enumerate(spec.roots_physical):
-                res = oracle.residual(wavefunction(spec, i), radial_operator(params, j + 2, mode),
-                                      ph.mpf(50))
+                res = oracle.residual(wavefunction(spec, i), op, ph.mpf(50))
                 worst = max(worst, res)
                 if res >= 1e-10:
                     return CheckResult("wavefunction-residual", False,

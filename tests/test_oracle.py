@@ -196,7 +196,7 @@ _STEBZ_IDS = ["random-1", "random-2", "random-500", "s-1e130", "s-1e-130"]
                          ids=[p + i for p in ("", "cython_lapack-") for i in _STEBZ_IDS],
                          indirect=["binding"])
 def test_the_binding_equals_scipys_stebz_bit_for_bit(binding, diag, off):
-    assert oracle._dstebz()[2] is {"numpy": np.int64, "cython_lapack": np.intc}[binding]
+    assert oracle._dstebz()[-1] is {"numpy": np.int64, "cython_lapack": np.intc}[binding]
     norm = oracle._norm(diag, off)
     n, eps = len(diag), np.finfo(float).eps
     lam = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
@@ -222,7 +222,7 @@ def test_the_fallback_binding_refines_bit_for_bit(monkeypatch):
 
     default = solve()
     _rebind(monkeypatch, numpy_symbol=False)
-    assert oracle._dstebz()[2] is np.intc
+    assert oracle._dstebz()[-1] is np.intc
     assert solve() == default
 
 
@@ -315,16 +315,34 @@ def _direct(diag, off, count):
                                          tol=np.finfo(float).tiny)
 
 
-def _record_stebz_calls(monkeypatch):
-    """[(system size, select)] of every dstebz call the oracle makes."""
-    calls, solve = [], oracle._stebz
+def _record_solves(monkeypatch):
+    """[(system size, kind, brackets)] of every LAPACK call the oracle makes: kind "i"
+    or "v" for a ``dstebz`` solve by index or by value (0 brackets), "count" or
+    "bisect" for a ``dlaebz`` call that counts at the ends of, or bisects, a group
+    of ``brackets`` brackets."""
+    calls, stebz, laebz = [], oracle._stebz, oracle._laebz
 
-    def recorded(diag, off, norm, select, select_range, tol):
-        calls.append((len(diag), select))
-        return solve(diag, off, norm, select, select_range, tol)
+    def recorded_stebz(diag, off, norm, select, select_range, tol):
+        calls.append((len(diag), select, 0))
+        return stebz(diag, off, norm, select, select_range, tol)
 
-    monkeypatch.setattr(oracle, "_stebz", recorded)
+    def recorded_laebz(job, ab, nab, **system):
+        calls.append((len(system["diag"]), {1: "count", 2: "bisect"}[job], ab.shape[1]))
+        return laebz(job, ab, nab, **system)
+
+    monkeypatch.setattr(oracle, "_stebz", recorded_stebz)
+    monkeypatch.setattr(oracle, "_laebz", recorded_laebz)
     return calls
+
+
+def _brackets(calls, size, kind):
+    """(dlaebz calls of ``kind`` on the system of ``size`` unknowns, their brackets)."""
+    groups = [brackets for n, k, brackets in calls if (n, k) == (size, kind)]
+    return len(groups), sum(groups)
+
+
+def _index_solves(calls):
+    return sorted(size for size, select, _ in calls if select == "i")
 
 
 def _assert_levels_match_direct(spec, op):
@@ -365,17 +383,15 @@ _BRACKETED = pytest.mark.parametrize("params, m, mode, count", [
 
 @_BRACKETED
 def test_the_finest_level_is_bisected_inside_its_brackets(monkeypatch, params, m, mode, count):
+    # one dlaebz group per pool worker, each counted at its ends, then bisected
     grid = Grid(math.pi, 1024) if mode == "box" else suggest_grid(params, m, mode, count)
-    calls = _record_stebz_calls(monkeypatch)
+    calls = _record_solves(monkeypatch)
     spec = refine(params, m, mode, count, grid)
-    finest = 4 * grid.n - 1
-    assert (finest, "i") not in calls
-    assert calls.count((finest, "v")) == count + 2  # top count, count brackets, upper neighbour
+    finest, groups = 4 * grid.n - 1, min(count, oracle._pool()[1])
+    assert (finest, "i", 0) not in calls
+    assert _brackets(calls, finest, "count") == _brackets(calls, finest, "bisect") == (groups, count)
+    assert calls.count((finest, "v", 0)) == 1  # the upper neighbour's Sturm count
     assert not any("near-degenerate" in rec.flags for rec in spec.records)
-
-
-def _index_solves(calls):
-    return sorted(size for size, select in calls if select == "i")
 
 
 @_BRACKETED
@@ -383,12 +399,12 @@ def test_only_the_predictor_levels_are_solved_by_index(monkeypatch, params, m, m
     # the n/4 and n/2 predictors are solved from the Gershgorin bounds; the three
     # reported levels n, 2n and 4n are each bisected inside their brackets
     grid = Grid(math.pi, 1024) if mode == "box" else suggest_grid(params, m, mode, count)
-    calls = _record_stebz_calls(monkeypatch)
+    calls = _record_solves(monkeypatch)
     refine(params, m, mode, count, grid)
     n = grid.n
     assert _index_solves(calls) == [n // 4 - 1, n // 2 - 1]
     for size in (n - 1, 2 * n - 1, 4 * n - 1):
-        assert calls.count((size, "v")) >= count + 1, size  # top count and count brackets
+        assert _brackets(calls, size, "bisect")[1] == count, size
 
 
 @pytest.mark.parametrize("params, m, mode", [(None, 0, "box"), (natural(q=0), 2, "free")],
@@ -396,10 +412,13 @@ def test_only_the_predictor_levels_are_solved_by_index(monkeypatch, params, m, m
 def test_an_odd_n_has_no_predictor(monkeypatch, params, m, mode):
     # the h and h/2 levels are solved by index, the finest inside its brackets
     grid = Grid(math.pi, 1001) if mode == "box" else suggest_grid(params, m, mode, 3, n=1001)
-    calls = _record_stebz_calls(monkeypatch)
+    calls = _record_solves(monkeypatch)
     spec = refine(params, m, mode, 3, grid)
     n = grid.n
-    assert sorted(calls) == [(n - 1, "i"), (2 * n - 1, "i")] + [(4 * n - 1, "v")] * 5
+    assert {size for size, _, _ in calls} == {n - 1, 2 * n - 1, 4 * n - 1}
+    assert _index_solves(calls) == [n - 1, 2 * n - 1]
+    assert _brackets(calls, 4 * n - 1, "bisect")[1] == 3
+    assert calls.count((4 * n - 1, "v", 0)) == 1
     _assert_levels_match_direct(spec, BOX if mode == "box" else radial_operator(params, m, mode))
 
 
@@ -413,9 +432,9 @@ def test_an_odd_n_has_no_predictor(monkeypatch, params, m, mode):
 ], ids=["count", "n/4-norm", "both-norms"])
 def test_a_refused_predictor_is_dropped(monkeypatch, r_max, count, coarsest):
     grid = Grid(r_max, 256)
-    calls = _record_stebz_calls(monkeypatch)
+    calls = _record_solves(monkeypatch)
     spec = refine(None, 0, "box", count, grid)
-    assert {size for size, _ in calls} == {k - 1 for k in (64, 128, 256, 512, 1024)
+    assert {size for size, _, _ in calls} == {k - 1 for k in (64, 128, 256, 512, 1024)
                                            if k >= coarsest}
     assert _index_solves(calls)[:2] == [coarsest - 1, 2 * coarsest - 1]
     _assert_levels_match_direct(spec, BOX)
@@ -425,11 +444,99 @@ def test_overlapping_brackets_fall_back_to_the_plain_solve(monkeypatch):
     # tunnelling-split pairs near eps^2 = 22.58 and 43.52: the brackets overlap
     p = PhysicalParams(M=3, omega=2, q=Q(1, 3))
     grid = suggest_grid(p, 2, "free", 5)
-    calls = _record_stebz_calls(monkeypatch)
+    calls = _record_solves(monkeypatch)
     spec = refine(p, 2, "free", 5, grid)
-    assert (4 * grid.n - 1, "i") in calls
+    assert (4 * grid.n - 1, "i", 0) in calls
     diag, off = discretize(radial_operator(p, 2, "free"), grid.refined(4))
     assert [rec.value_h4 for rec in spec.records] == list(eigenvalues_bisection(diag, off, 5))
+
+
+def test_a_refused_bracket_batch_is_never_bisected(monkeypatch):
+    # oracle --mode free --m 2 --count 70 --oracle-n 256: the counts at the ends of the
+    # finest level's brackets refuse them, so that level is solved by index at once
+    p = natural()
+    grid = suggest_grid(p, 2, "free", 70, n=256)
+    calls = _record_solves(monkeypatch)
+    spec = refine(p, 2, "free", 70, grid)
+    finest = 4 * grid.n - 1
+    assert _brackets(calls, finest, "count")[1] == 70
+    assert _brackets(calls, finest, "bisect") == (0, 0)
+    assert (finest, "i", 0) in calls
+    diag, off = discretize(radial_operator(p, 2, "free"), grid.refined(4))
+    assert [rec.value_h4 for rec in spec.records] == list(eigenvalues_bisection(diag, off, 70))
+
+
+def _gershgorin(diag, off):
+    edge = np.abs(np.concatenate(([0.0], off, [0.0])))
+    return np.min(diag - edge[:-1] - edge[1:]), np.max(diag + edge[:-1] + edge[1:])
+
+
+def _brackets_around(diag, off, count, rng):
+    """(centres, half-widths) of disjoint random brackets, each around one of the
+    lowest ``count`` eigenvalues and inside the Gershgorin interval."""
+    lam = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
+    low, top = _gershgorin(diag, off)
+    below = np.concatenate(([low], lam[:count - 1]))
+    above = np.concatenate((lam[1:count], [lam[count] if count < len(lam) else top]))
+    lo = lam[:count] - rng.uniform(0.01, 0.49, count) * (lam[:count] - below)
+    hi = lam[:count] + rng.uniform(0.01, 0.49, count) * (above - lam[:count])
+    return (lo + hi) / 2, (hi - lo) / 2
+
+
+def _bracket_systems():
+    """(diag, off, count) of random systems, of tridiag(-s, 2s, -s) and of a
+    discretized sextic."""
+    rng = np.random.default_rng(29)
+    for n, count in ((2, 2), (60, 8), (500, 9), (3000, 5)):
+        yield rng.normal(size=n), rng.normal(size=n - 1), count
+    for s in (1e130, 1e-130):
+        yield np.full(500, 2 * s), np.full(499, -s), 4
+    p = PhysicalParams(M=Q(8, 3), omega=2, q=4, hbar=Q(1, 2))
+    yield (*discretize(radial_operator(p, 2, "field"), Grid(6.0, 4096)), 6)
+
+
+def _stebz_per_bracket(diag, off, centres, half_widths, tol):
+    return np.concatenate([
+        scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
+                                      select_range=(c - w, c + w), lapack_driver="stebz", tol=tol)
+        for c, w in zip(centres, half_widths)])
+
+
+@pytest.mark.parametrize("groups", [None, 1, 3], ids=["pool", "one-group", "three-groups"])
+def test_the_bracket_groups_equal_scipys_stebz_bit_for_bit(binding, monkeypatch, groups):
+    # dstebz over each (c - w, c + w] alone, against one dlaebz group per worker
+    if groups is not None:
+        monkeypatch.setattr(oracle, "_pool", lambda: (_InlineExecutor(), groups))
+    rng = np.random.default_rng(7)
+    for diag, off, count in _bracket_systems():
+        norm, eps = oracle._norm(diag, off), np.finfo(float).eps
+        near = _brackets_around(diag, off, count, rng)
+        for tol in (eps * norm / 64, 1e-6 * norm, np.finfo(float).tiny):
+            got = oracle._bracketed(diag, off, norm, count, tol, *near)
+            want = _stebz_per_bracket(diag, off, *near, tol)
+            assert len(want) == count and got.tobytes() == want.tobytes(), (len(diag), tol)
+
+
+def test_a_split_system_and_a_bracket_below_gershgorin_are_declined(binding, monkeypatch):
+    # dstebz would bisect another interval than the bracket: a block of the split
+    # system, or the Gershgorin bound above the bracket's lower end
+    rng = np.random.default_rng(11)
+    diag, off = rng.normal(size=300), rng.normal(size=299)
+    split = off.copy()
+    split[150] = 1e-170  # its square is below the smallest normal float
+    centres, half_widths = _brackets_around(diag, off, 5, rng)
+    low = _gershgorin(diag, off)[0]
+    below = (np.concatenate(([(low - 1.0 + centres[0] + half_widths[0]) / 2], centres[1:])),
+             np.concatenate(([(centres[0] + half_widths[0] - low + 1.0) / 2], half_widths[1:])))
+    declined = [(diag, split, _brackets_around(diag, split, 5, rng)), (diag, off, below)]
+    calls = _record_solves(monkeypatch)
+    for d, e, near in declined:
+        norm, tol = oracle._prepare(d, e, 5)
+        # each bracket holds one eigenvalue, so only the decline refuses them
+        assert len(_stebz_per_bracket(d, e, *near, tol)) == 5
+        assert oracle._bracketed(d, e, norm, 5, tol, *near) is None
+        assert np.array_equal(eigenvalues_bisection(d, e, 5, near), eigenvalues_bisection(d, e, 5))
+    assert not [call for call in calls if call[1] in ("count", "bisect")]
 
 
 class _InlineExecutor:
@@ -452,16 +559,20 @@ class _InlineExecutor:
 ], ids=["box", "oscillator", "sextic", "overlapping-brackets"])
 def test_the_pool_gives_the_records_of_one_thread(monkeypatch, params, m, mode, count):
     grid = Grid(math.pi, 1024) if mode == "box" else suggest_grid(params, m, mode, count)
-    threads, solve = set(), oracle._stebz
+    threads = set()
 
-    def recorded(*args):
-        threads.add(threading.get_ident())
-        return solve(*args)
+    def on_thread(solve):
+        def recorded(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return solve(*args, **kwargs)
+        return recorded
 
-    monkeypatch.setattr(oracle, "_stebz", recorded)
+    for name in ("_stebz", "_laebz"):
+        monkeypatch.setattr(oracle, name, on_thread(getattr(oracle, name)))
     pooled = refine(params, m, mode, count, grid)
     assert threads - {threading.get_ident()}  # some solves ran on the pool
-    monkeypatch.setattr(oracle, "_pool", _InlineExecutor)
+    # three bracket groups, on one thread
+    monkeypatch.setattr(oracle, "_pool", lambda: (_InlineExecutor(), 3))
     threads.clear()
     assert refine(params, m, mode, count, grid) == pooled
     assert threads == {threading.get_ident()}
@@ -504,7 +615,7 @@ def test_a_missed_bracket_falls_back_to_the_plain_solve(monkeypatch):
     plain = eigenvalues_bisection(diag, off, 3)
     lam = _direct(diag, off, 4)
     width = np.full(3, 0.1)
-    calls = _record_stebz_calls(monkeypatch)
+    calls = _record_solves(monkeypatch)
     # the prediction shifted off every eigenvalue: no bracket holds one
     shifted = eigenvalues_bisection(diag, off, 3, (lam[:3] + 0.5, width))
     # one bracket skips eigenvalue 2, which lies below the top bracket's end
@@ -514,10 +625,10 @@ def test_a_missed_bracket_falls_back_to_the_plain_solve(monkeypatch):
     # below the top end
     doubled = eigenvalues_bisection(diag, off, 2, (lam[[1, 1]] + [-0.05, 0.05], width[:2]))
     assert np.array_equal(doubled, eigenvalues_bisection(diag, off, 2))
-    assert calls.count((511, "i")) == 4
+    assert calls.count((511, "i", 0)) == 4
     held = eigenvalues_bisection(diag, off, 3, (lam[:3] + 0.01, width))
     assert np.all(np.abs(held - lam[:3]) <= _floor(diag, off) / 4)
-    assert calls.count((511, "i")) == 4
+    assert calls.count((511, "i", 0)) == 4
 
 
 def _mp_sturm_count(diag, off, x):
@@ -696,6 +807,33 @@ def test_suggest_grid_sizes_the_coarse_solve_to_the_count():
     assert suggest_grid(natural(q=0), 2, "free", 600, n=1024).n == 1024
     with pytest.raises(DomainError, match="1023-dimensional system of a grid of n = 1024"):
         suggest_grid(natural(q=0), 2, "free", 1100, n=1024)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(m=st.integers(1, 5), count=st.integers(1, 6), mode=st.sampled_from(["free", "field"]),
+       M=st.fractions(min_value=Q(1, 3), max_value=9, max_denominator=3),
+       omega=st.fractions(min_value=0, max_value=9, max_denominator=3),
+       q=st.fractions(min_value=Q(1, 3), max_value=9, max_denominator=3),
+       c=st.sampled_from([Q(1, 2), 1, 2]), hbar=st.sampled_from([Q(1, 2), 1, 2]))
+def test_the_well_minimum_probe_finds_the_r_max_of_a_scalar_loop(m, count, mode, M, omega, q,
+                                                                 c, hbar):
+    # suggest_grid's 512-node probe evaluates U in one call; the reference evaluates
+    # it node by node, as a loop of scalar calls did.  The values may differ in the
+    # last bit, the chosen node and r_max may not
+    p = PhysicalParams(M=M, omega=omega, q=q, c=c, hbar=hbar)
+    power_sum, probes = oracle._power_sum, []
+
+    def pointwise(coeffs, r, powers=None):
+        if isinstance(r, np.ndarray) and r.shape == (512,):  # the probe, and nothing else
+            probes.append(r)
+            return np.array([power_sum(coeffs, x) for x in r])
+        return power_sum(coeffs, r, powers)
+
+    vectorized = suggest_grid(p, m, mode, count)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_power_sum", pointwise)
+        assert suggest_grid(p, m, mode, count) == vectorized
+    assert probes
 
 
 def test_default_base_is_1024():

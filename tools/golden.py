@@ -103,10 +103,12 @@ def _argvs():
            "--q", "1/3"]
     yield ["oracle", "--mode", "field", "--m", "3", "--count", "8", "--oracle-n", "8192"]
     # the h^2 bracket width at m = 1; an odd n (no predictor level); one predictor
-    # (n/4 = 32 is too coarse); the n/4 predictor has fewer unknowns than the count
+    # (n/4 = 32 is too coarse)
     yield ["oracle", "--mode", "field", "--m", "1", "--count", "4"]
     yield ["oracle", "--box", "--count", "3", "--oracle-n", "1001"]
     yield ["oracle", "--box", "--count", "3", "--oracle-n", "128"]
+    # the n/4 predictor has fewer unknowns than the count, and the counts at the 4n
+    # bracket ends refuse the brackets: that level is solved by index, none bisected
     yield ["oracle", "--mode", "free", "--m", "2", "--count", "70", "--oracle-n", "256"]
     # refused at the h level, whose norm the message names
     yield ["oracle", "--box", "--oracle-n", "128", "--rmax", "1e-100"]
